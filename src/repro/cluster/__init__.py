@@ -8,10 +8,9 @@ a consistent-hash ring with seeded virtual nodes and replication
 kills are FaultConfig outage windows evaluated in virtual time, so the
 ring reroutes and heals bit-identically at any client count; hot keys
 are detected by windowed top-k (:mod:`.hotkeys`) and split across
-replicas; and the shards' Q-tables are periodically merged by
-entrywise averaging (:mod:`.federate`) built on the PR 3
-``state_dict`` persistence layer — the fleet learns faster than any
-isolated shard (the bench gate pins this).
+replicas; and the shards' Q-tables are periodically merged in place
+by entrywise averaging (:mod:`.federate`) — the fleet learns faster
+than any isolated shard (the bench gate pins this).
 
 Importing this package registers the ``cluster`` experiment with the
 shared registry; :class:`~repro.cluster.jobs.ClusterJob` specs run on

@@ -3,12 +3,22 @@
 Each shard runs its own CHROME serve agent, so each shard only learns
 from the slice of traffic the ring routes to it.  Federation closes
 that gap the federated-averaging way: every ``federate_every`` requests
-the cluster snapshots every agent's Q-table
-(:meth:`~repro.core.qtable.QTable.state_dict`), averages them entry by
-entry, and loads the merged table back into every agent
-(:meth:`~repro.core.qtable.QTable.load_state_dict`) — one shard's
-"large scan objects are not worth their bytes" lesson reaches the
-whole fleet without any shard seeing another's requests.
+the cluster averages every agent's Q-table entry by entry and writes
+the mean back into every agent — one shard's "large scan objects are
+not worth their bytes" lesson reaches the whole fleet without any
+shard seeing another's requests.
+
+A round works on the live tables, not on snapshots:
+:func:`federate_agents` walks the agents' ``QTable._tables`` row by
+row in lockstep.  A row whose lists are equal on every agent is
+*settled* and skipped — on-grid values merge to themselves, and every
+value the repo writes into a live table is on the grid (updates
+quantize, merges snap, persistence restores are grid-validated).  Any other row is merged by
+:func:`_merge_row` and copied into each agent's existing row list
+(``row[:] = merged``), so the memoized row caches keep pointing at live
+rows and each agent keeps owning its storage.  :func:`merge_qtable_states`,
+the snapshot-level merge, runs the same per-row kernel, so the two stay
+byte-identical by construction.
 
 Determinism discipline:
 
@@ -21,13 +31,13 @@ Determinism discipline:
   value representable in the hardware design) and save/merge/restore
   round-trips bit-identically through JSON;
 * **counters stay local** — merged ``lookups``/``updates`` are summed
-  for the merged snapshot, but each agent keeps its own counters on
-  load-back (they are telemetry about the shard, not learned state),
-  and agent exploration RNGs are never touched.
+  for the merged snapshot, but each agent keeps its own counters
+  (they are telemetry about the shard, not learned state), and agent
+  exploration RNGs are never touched.
 
 When every agent runs the numpy backend, :func:`federate_agents` takes
 a vectorized path over the integer tick arrays instead of nested-list
-snapshots.  It is bit-identical to the scalar merge: tick sums are
+rows.  It is bit-identical to the scalar merge: tick sums are
 exact integer arithmetic (order independent by construction), the
 power-of-two quantum commutes with IEEE rounding, and ``np.rint`` and
 Python ``round`` share half-to-even semantics — pinned differentially
@@ -38,71 +48,56 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
+_GEOMETRY = ("version", "num_features", "num_subtables", "rows", "num_actions")
+
+
+def _merge_row(rows: Sequence[List[float]], quantum: float) -> List[float]:
+    """The merged value of one row across shards, action by action:
+    ``round(mean / quantum) * quantum`` over the shards' values."""
+    n = len(rows)
+    merged = []
+    for column in zip(*rows, strict=True):
+        # Sorted before summing: the sum (and thus the mean) is
+        # independent of shard order.
+        total = 0.0
+        for v in sorted(column):
+            total += v
+        merged.append(round(total / n / quantum) * quantum)
+    return merged
+
 
 def merge_qtable_states(states: Sequence[dict], quantum: float) -> dict:
     """Entrywise average of same-geometry Q-table snapshots.
 
     ``quantum`` is the fixed-point grid step
     (:attr:`QTable._quantum <repro.core.qtable.QTable>`); every merged
-    value is ``round(mean / quantum) * quantum``.  Raises ``ValueError``
-    on empty input or mismatched geometry.
+    value is ``round(mean / quantum) * quantum``, so merging a single
+    on-grid state is the identity.  Raises ``ValueError`` on empty
+    input or mismatched geometry.
     """
     if not states:
         raise ValueError("cannot merge zero Q-table states")
     base = states[0]
-    geometry = ("version", "num_features", "num_subtables", "rows", "num_actions")
     for state in states[1:]:
         mismatched = {
             k: (state.get(k), base.get(k))
-            for k in geometry
+            for k in _GEOMETRY
             if state.get(k) != base.get(k)
         }
         if mismatched:
             raise ValueError(f"Q-table geometry mismatch in merge: {mismatched}")
-    n = len(states)
-    if n == 1:
-        # Degenerate merge: still re-quantize, so one-shard federation
-        # is the identity (values already live on the grid).
-        tables = [
-            [
-                [
-                    [round(v / quantum) * quantum for v in row]
-                    for row in subtable
-                ]
-                for subtable in feature
-            ]
-            for feature in base["tables"]
+    tables = [
+        [
+            [_merge_row(rows, quantum) for rows in zip(*subtables, strict=True)]
+            for subtables in zip(*features, strict=True)
         ]
-    else:
-        all_tables = [s["tables"] for s in states]
-        tables = []
-        for f, base_feature in enumerate(all_tables[0]):
-            feature_out: List[List[List[float]]] = []
-            for k, base_subtable in enumerate(base_feature):
-                rows_out: List[List[float]] = []
-                for r, base_row in enumerate(base_subtable):
-                    row_out: List[float] = []
-                    for a in range(len(base_row)):
-                        # Sorted before summing: the sum (and thus the
-                        # mean) is independent of shard order.
-                        values = sorted(t[f][k][r][a] for t in all_tables)
-                        total = 0.0
-                        for v in values:
-                            total += v
-                        row_out.append(round(total / n / quantum) * quantum)
-                    rows_out.append(row_out)
-                feature_out.append(rows_out)
-            tables.append(feature_out)
-    return {
-        "version": base["version"],
-        "num_features": base["num_features"],
-        "num_subtables": base["num_subtables"],
-        "rows": base["rows"],
-        "num_actions": base["num_actions"],
-        "tables": tables,
-        "lookups": sum(int(s.get("lookups", 0)) for s in states),
-        "updates": sum(int(s.get("updates", 0)) for s in states),
-    }
+        for features in zip(*(s["tables"] for s in states), strict=True)
+    ]
+    merged = {k: base[k] for k in _GEOMETRY}
+    merged["tables"] = tables
+    merged["lookups"] = sum(int(s.get("lookups", 0)) for s in states)
+    merged["updates"] = sum(int(s.get("updates", 0)) for s in states)
+    return merged
 
 
 def _numpy_tick_arrays(agents: Sequence) -> Optional[list]:
@@ -158,25 +153,60 @@ def _federate_numpy(agents: Sequence, ticks: list) -> dict:
     }
 
 
+def _merge_tables_in_place(tables: Sequence[list], quantum: float) -> None:
+    """Merge same-shape nested row tables in place, row by row.
+
+    Rows already equal on every table are skipped; every other row is
+    overwritten in each table with :func:`_merge_row`'s result (a copy
+    per table, never a shared list).
+    """
+    n = len(tables)
+    for features in zip(*tables, strict=True):
+        for subtables in zip(*features, strict=True):
+            for rows in zip(*subtables, strict=True):
+                if rows.count(rows[0]) == n:
+                    continue  # settled: on-grid values merge to themselves
+                merged = _merge_row(rows, quantum)
+                for row in rows:
+                    row[:] = merged
+
+
 def federate_agents(agents: Sequence) -> dict:
     """One federation round over live agents (in place).
 
-    Snapshots every agent's Q-table, merges, loads the merged table
-    back into each — preserving each agent's own lookup/update counters
-    and leaving exploration RNG state untouched.  Returns the merged
-    snapshot (for persistence or obs).  All-numpy fleets skip the
-    nested-list snapshots entirely and merge on the tick arrays
-    (bit-identical; see module docstring).
+    Merges the agents' live Q-table rows (see the module docstring),
+    keeping each agent's own lookup/update counters and leaving
+    exploration RNG state untouched.  Returns the merged snapshot (for
+    persistence or obs), equal to :func:`merge_qtable_states` over the
+    agents' pre-round snapshots.  All-numpy fleets merge on the tick
+    arrays instead (bit-identical); in a mixed fleet a numpy agent
+    joins the walk through a detached snapshot that is loaded back
+    afterwards.
     """
     if not agents:
         raise ValueError("cannot federate zero agents")
     ticks = _numpy_tick_arrays(agents)
     if ticks is not None:
         return _federate_numpy(agents, ticks)
-    states = [agent.qtable.state_dict() for agent in agents]
-    merged = merge_qtable_states(states, agents[0].qtable._quantum)
-    for agent in agents:
-        lookups, updates = agent.qtable.lookups, agent.qtable.updates
-        agent.qtable.load_state_dict(merged)
-        agent.qtable.lookups, agent.qtable.updates = lookups, updates
+    qtables = [agent.qtable for agent in agents]
+    geometries = {(qt.num_features, qt.num_subtables, qt.rows) for qt in qtables}
+    if len(geometries) > 1:
+        raise ValueError(
+            f"Q-table geometry mismatch in federation: {sorted(geometries)}"
+        )
+    detached = {}
+    tables = []
+    for i, qt in enumerate(qtables):
+        live = getattr(qt, "_tables", None)
+        if live is None:
+            detached[i] = qt.state_dict()
+            live = detached[i]["tables"]
+        tables.append(live)
+    _merge_tables_in_place(tables, qtables[0]._quantum)
+    for i, state in detached.items():
+        qtables[i].load_state_dict(state)  # carries the agent's own counters
+    # Every agent now holds the merged table; snapshot one of them.
+    merged = qtables[0].state_dict()
+    merged["lookups"] = sum(int(qt.lookups) for qt in qtables)
+    merged["updates"] = sum(int(qt.updates) for qt in qtables)
     return merged

@@ -97,9 +97,10 @@ class QTable:
         # the cache is exact; it is bounded by the feature bit-widths).
         self._index_cache: Dict[int, Tuple[int, ...]] = {}
         # Per-feature: value -> live references to its sub-table rows;
-        # rows are mutated in place by apply_delta, so the caches stay
-        # valid.  One dict per feature keeps the keys plain ints (no
-        # tuple allocation per lookup on the hot path).
+        # rows are only ever mutated in place (apply_delta, load, cluster
+        # federation), so the caches stay valid.  One dict per feature
+        # keeps the keys plain ints (no tuple allocation per lookup on
+        # the hot path).
         self._row_caches: List[Dict[int, Tuple[List[float], ...]]] = [
             {} for _ in range(num_features)
         ]
@@ -399,9 +400,13 @@ class QTable:
     def load_state_dict(self, state: dict) -> None:
         """Restore :meth:`state_dict` output (bit-identical q_values).
 
-        The table geometry must match this instance's construction; the
-        memoized row caches are rebuilt lazily, so restored values are
-        served on the very next lookup.
+        The table geometry must match this instance's construction, and
+        ``state["tables"]`` must have exactly that nested shape; both
+        are checked before any value is written, so a malformed state
+        raises and leaves the table unchanged.  Values are copied into
+        the existing row lists, so the memoized row caches stay live
+        and restored values are served on the very next lookup; the
+        table never aliases the source state.
         """
         if state.get("version") != 1:
             raise ValueError(f"unsupported QTable state version {state.get('version')!r}")
@@ -417,12 +422,27 @@ class QTable:
         if mismatched:
             raise ValueError(f"QTable geometry mismatch on load: {mismatched}")
         tables = state["tables"]
-        self._tables = [
-            [[list(row) for row in subtable] for subtable in feature]
-            for feature in tables
-        ]
-        # Row caches hold live references into the replaced tables.
-        self._row_caches = [{} for _ in range(self.num_features)]
+        try:
+            well_formed = len(tables) == self.num_features and all(
+                len(feature) == self.num_subtables
+                and all(
+                    len(subtable) == self.rows
+                    and all(len(row) == NUM_ACTIONS for row in subtable)
+                    for subtable in feature
+                )
+                for feature in tables
+            )
+        except TypeError:
+            well_formed = False
+        if not well_formed:
+            raise ValueError(
+                "QTable geometry mismatch on load: tables are not "
+                f"{self.num_features}x{self.num_subtables}x{self.rows}x{NUM_ACTIONS}"
+            )
+        for live_feature, feature in zip(self._tables, tables):
+            for live_subtable, subtable in zip(live_feature, feature):
+                for live_row, row in zip(live_subtable, subtable):
+                    live_row[:] = row
         self.lookups = int(state.get("lookups", 0))
         self.updates = int(state.get("updates", 0))
 

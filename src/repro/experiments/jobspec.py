@@ -35,7 +35,7 @@ from .runner import ExperimentScale, chrome_with, resolve_policy, scaled_sampled
 #: Bump when simulator/policy semantics change in a way that should
 #: invalidate previously cached simulation results (see
 #: :mod:`repro.experiments.result_cache`).
-CODE_VERSION = "1"
+CODE_VERSION = "2"
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ hyper-parameter tuning; Sec. VII-D).
 from __future__ import annotations
 
 import random
+import zlib
 from functools import lru_cache
 from typing import Iterator, List, Tuple
 
@@ -74,7 +75,8 @@ def build_graph(
     """
     if dataset not in DATASETS:
         raise KeyError(f"unknown dataset {dataset!r}; choose from {DATASETS}")
-    rng = np.random.default_rng(seed + hash(dataset) % 1000)
+    # crc32, not the builtin hash(): str hashes are salted per process.
+    rng = np.random.default_rng(seed + zlib.crc32(dataset.encode()) % 1000)
     num_edges = num_vertices * avg_degree
     if dataset == "ur":
         src = rng.integers(0, num_vertices, num_edges)

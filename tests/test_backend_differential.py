@@ -118,7 +118,10 @@ def test_serve_policy_backend_param(monkeypatch):
 
 
 def test_cli_backend_flag_sets_env(monkeypatch):
-    monkeypatch.delenv("REPRO_BACKEND", raising=False)
+    # setenv first, so teardown removes the variable _apply_backend sets
+    # (delenv of an absent variable records nothing to undo).
+    monkeypatch.setenv("REPRO_BACKEND", "scalar")
+    monkeypatch.delenv("REPRO_BACKEND")
     import os
 
     from repro.cli import _apply_backend

@@ -15,6 +15,8 @@ from repro.cluster import (
     merge_qtable_states,
 )
 from repro.cluster.federate import federate_agents
+from repro.core.config import ChromeConfig
+from repro.serve.agent import ServeAgent
 from repro.serve.config import ServiceConfig
 from repro.serve.service import run_configured
 from repro.serve.store import ObjectStore
@@ -177,7 +179,8 @@ def test_evict_listener_property_keeps_single_subscriber_semantics():
 
 
 def _trained_states(seeds, requests=None):
-    """Q-table snapshots from independently trained serve agents."""
+    """Q-table snapshots from independently trained scalar-backend
+    serve agents (``tests/test_federate_numpy.py`` covers numpy)."""
     requests = requests or build_workload("zipf_scan", 1500, seed=4)
     out = []
     for seed in seeds:
@@ -188,6 +191,7 @@ def _trained_states(seeds, requests=None):
             num_clients=4,
             seed=seed,
             workload_name="zipf_scan",
+            backend="scalar",
         )
         policy = config.build_policy()
         run_configured(list(requests), config, policy=policy)
@@ -256,6 +260,66 @@ def test_federate_agents_syncs_tables_and_keeps_local_counters():
     assert (a.qtable.lookups, b.qtable.lookups) == lookups
     with pytest.raises(ValueError):
         federate_agents([])
+
+
+def _assert_row_caches_live(qtable):
+    """Every memoized row reference is still the table's live row."""
+    cached = 0
+    for f, cache in enumerate(qtable._row_caches):
+        for value in cache:
+            rows = qtable._rows_for(f, value)
+            for k, idx in enumerate(qtable._row_indices(value)):
+                assert rows[k] is qtable._tables[f][k][idx]
+                cached += 1
+    assert cached  # the trained agents really populated the caches
+
+
+@pytest.mark.parametrize("order", ["forward", "reversed"])
+def test_in_place_federation_matches_snapshot_merge(order):
+    trained = _trained_states([21, 22, 23])
+    agents = [agent for agent, _ in trained]
+    states = [state for _, state in trained]
+    if order == "reversed":
+        agents.reverse()
+    expected = merge_qtable_states(states, agents[0].qtable._quantum)
+    counters = [(a.qtable.lookups, a.qtable.updates) for a in agents]
+    merged = federate_agents(agents)
+    assert merged == expected
+    for agent, before in zip(agents, counters):
+        assert agent.qtable.state_dict()["tables"] == expected["tables"]
+        assert (agent.qtable.lookups, agent.qtable.updates) == before
+        _assert_row_caches_live(agent.qtable)
+
+
+def test_federated_agents_and_snapshot_do_not_share_rows():
+    (a, _), (b, _) = _trained_states([24, 25])
+    merged = federate_agents([a, b])
+    snapshot = json.loads(json.dumps(merged))
+    value = next(iter(a.qtable._row_caches[0]))  # a cached, trained row
+    state = (value,) + (0,) * (a.qtable.num_features - 1)
+    before = b.qtable.q(state, 1)
+    a.qtable.apply_delta(state, 1, 1.0)
+    assert a.qtable.q(state, 1) != before
+    assert b.qtable.q(state, 1) == before
+    assert b.qtable.state_dict()["tables"] == snapshot["tables"]
+    assert merged == snapshot
+
+
+def test_federation_of_settled_tables_is_a_fixed_point():
+    (a, _), (b, _) = _trained_states([26, 27])
+    first = federate_agents([a, b])
+    again = federate_agents([a, b])
+    assert again["tables"] == first["tables"]
+    _assert_row_caches_live(a.qtable)
+
+
+def test_federation_rejects_mismatched_geometry_untouched():
+    (a, sa), = _trained_states([28])
+    small = ServeAgent(replace(ChromeConfig(), subtable_entries=1024), seed=28)
+    assert small.qtable.rows != a.qtable.rows
+    with pytest.raises(ValueError, match="geometry"):
+        federate_agents([a, small])
+    assert a.qtable.state_dict() == sa
 
 
 # --- cluster determinism ------------------------------------------------------

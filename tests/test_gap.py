@@ -107,3 +107,37 @@ def test_neighbor_accesses_are_bursty_sequential():
     ]
     sequential = sum(1 for a, b in zip(nbr, nbr[1:]) if b == a + 1)
     assert sequential > len(nbr) * 0.5
+
+
+def test_graphs_identical_across_hash_seeds():
+    """The dataset name seeds the graph through a process-stable value:
+    two interpreters with different ``PYTHONHASHSEED`` build the same
+    graph (the builtin ``hash()`` of a str would differ)."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    script = (
+        "import hashlib\n"
+        "from repro.traces.gap import build_graph\n"
+        "h = hashlib.sha256()\n"
+        "for name in ('or', 'tw', 'ur'):\n"
+        "    for arr in build_graph(name, num_vertices=256, avg_degree=4):\n"
+        "        h.update(arr.tobytes())\n"
+        "print(h.hexdigest())\n"
+    )
+    digests = set()
+    for hash_seed in ("0", "21"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.add(proc.stdout.strip())
+    assert len(digests) == 1, digests

@@ -8,6 +8,7 @@ agents restored from the same snapshot and fed the same stream stay
 bit-identical forever.
 """
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -71,8 +72,6 @@ def test_qtable_state_dict_roundtrip_bit_identical():
 
 
 def test_qtable_state_dict_json_safe():
-    import json
-
     table = _trained_qtable(seed=3)
     via_json = json.loads(json.dumps(table.state_dict()))
     clone = QTable(2, ChromeConfig())
@@ -90,6 +89,52 @@ def test_qtable_load_rebuilds_row_caches():
     # Post-load updates must not leak back into the source table.
     clone.apply_delta(state, 1, 1.0)
     assert clone.q(state, 1) != table.q(state, 1)
+
+
+def test_qtable_load_keeps_row_caches_live_and_unaliased():
+    table = _trained_qtable(seed=2)
+    clone = _trained_qtable(seed=5)  # populated caches, different values
+    source = table.state_dict()
+    pristine = json.loads(json.dumps(source))
+    clone.load_state_dict(source)
+    assert clone.state_dict() == table.state_dict()
+    cached = 0
+    for f, cache in enumerate(clone._row_caches):
+        for value in cache:
+            rows = clone._rows_for(f, value)
+            for k, idx in enumerate(clone._row_indices(value)):
+                assert rows[k] is clone._tables[f][k][idx]
+                cached += 1
+    assert cached
+    # The clone owns its rows: updates move neither the source state
+    # nor the table it was taken from.
+    state = (next(iter(clone._row_caches[0])), 7)
+    before = table.q(state, 1)
+    clone.apply_delta(state, 1, 1.0)
+    assert clone.q(state, 1) != before
+    assert table.q(state, 1) == before
+    assert source == pristine
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda t: t[1][2].__setitem__(5, t[1][2][5][:3]),  # short row
+        lambda t: t[1][2][-1].append(0.0),  # long row
+        lambda t: t[0][3].pop(),  # missing row
+        lambda t: t[1].append(t[1][0]),  # extra sub-table
+        lambda t: t[1][2].__setitem__(7, None),  # not a row
+    ],
+    ids=["short-row", "long-row", "missing-row", "extra-subtable", "not-a-row"],
+)
+def test_qtable_load_rejects_malformed_tables_untouched(corrupt):
+    table = _trained_qtable(seed=4)
+    before = table.state_dict()
+    state = _trained_qtable(seed=6).state_dict()
+    corrupt(state["tables"])
+    with pytest.raises(ValueError, match="geometry"):
+        table.load_state_dict(state)
+    assert table.state_dict() == before
 
 
 def test_qtable_load_rejects_geometry_mismatch():
