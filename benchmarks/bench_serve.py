@@ -112,6 +112,46 @@ def run_one(
     return record
 
 
+def evaluate_gates(workloads: dict) -> dict:
+    """The acceptance decisions, a pure function of the per-workload
+    records (``results["workloads"]``: workload -> policy -> record).
+
+    Returns the ``acceptance`` (zipf_scan, CHROME vs LRU) and
+    ``atlas_acceptance`` (CHROME vs the best classic baseline on each
+    :data:`BEST_BASELINE_GATED` family) entries of the results file.
+    """
+    zipf = workloads["zipf_scan"]
+    chrome_bhr = zipf["chrome"]["byte_hit_ratio"]
+    lru_bhr = zipf["lru"]["byte_hit_ratio"]
+    acceptance = {
+        "criterion": "chrome byte_hit_ratio > lru byte_hit_ratio on zipf_scan",
+        "chrome_byte_hit_ratio": chrome_bhr,
+        "lru_byte_hit_ratio": lru_bhr,
+        "delta_points": round(100.0 * (chrome_bhr - lru_bhr), 2),
+        "passed": chrome_bhr > lru_bhr,
+    }
+    atlas = {}
+    for workload in BEST_BASELINE_GATED:
+        table = workloads[workload]
+        chrome = table["chrome"]["byte_hit_ratio"]
+        best_name, best = max(
+            ((p, table[p]["byte_hit_ratio"]) for p in table if p != "chrome"),
+            key=lambda item: item[1],
+        )
+        atlas[workload] = {
+            "criterion": (
+                "chrome byte_hit_ratio > best classic baseline "
+                f"byte_hit_ratio on {workload}"
+            ),
+            "chrome_byte_hit_ratio": chrome,
+            "best_baseline": best_name,
+            "best_baseline_byte_hit_ratio": best,
+            "delta_points": round(100.0 * (chrome - best), 2),
+            "passed": chrome > best,
+        }
+    return {"acceptance": acceptance, "atlas_acceptance": atlas}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     scale = ExperimentScale.from_env()
@@ -167,56 +207,29 @@ def main() -> int:
             )
         results["workloads"][workload] = table
 
-    zipf = results["workloads"]["zipf_scan"]
-    chrome_bhr = zipf["chrome"]["byte_hit_ratio"]
-    lru_bhr = zipf["lru"]["byte_hit_ratio"]
-    results["acceptance"] = {
-        "criterion": "chrome byte_hit_ratio > lru byte_hit_ratio on zipf_scan",
-        "chrome_byte_hit_ratio": chrome_bhr,
-        "lru_byte_hit_ratio": lru_bhr,
-        "delta_points": round(100.0 * (chrome_bhr - lru_bhr), 2),
-        "passed": chrome_bhr > lru_bhr,
-    }
-    atlas = {}
-    for workload in BEST_BASELINE_GATED:
-        table = results["workloads"][workload]
-        chrome = table["chrome"]["byte_hit_ratio"]
-        best_name, best = max(
-            ((p, table[p]["byte_hit_ratio"]) for p in table if p != "chrome"),
-            key=lambda item: item[1],
-        )
-        atlas[workload] = {
-            "criterion": (
-                "chrome byte_hit_ratio > best classic baseline "
-                f"byte_hit_ratio on {workload}"
-            ),
-            "chrome_byte_hit_ratio": chrome,
-            "best_baseline": best_name,
-            "best_baseline_byte_hit_ratio": best,
-            "delta_points": round(100.0 * (chrome - best), 2),
-            "passed": chrome > best,
-        }
-    results["atlas_acceptance"] = atlas
+    results.update(evaluate_gates(results["workloads"]))
 
     args.json.parent.mkdir(parents=True, exist_ok=True)
     args.json.write_text(json.dumps(results, indent=1) + "\n")
     print(f"wrote {args.json}")
 
     failed = False
-    if not results["acceptance"]["passed"]:
+    gate = results["acceptance"]
+    if not gate["passed"]:
         print(
-            f"FAIL: chrome byte hit ratio {chrome_bhr:.4f} does not beat "
-            f"lru {lru_bhr:.4f} on zipf_scan",
+            f"FAIL: chrome byte hit ratio {gate['chrome_byte_hit_ratio']:.4f} "
+            f"does not beat lru {gate['lru_byte_hit_ratio']:.4f} on zipf_scan",
             file=sys.stderr,
         )
         failed = True
     else:
         print(
             f"OK: chrome beats lru on zipf_scan byte hit ratio "
-            f"({chrome_bhr:.4f} vs {lru_bhr:.4f}, "
-            f"{results['acceptance']['delta_points']:+.2f} pts)"
+            f"({gate['chrome_byte_hit_ratio']:.4f} vs "
+            f"{gate['lru_byte_hit_ratio']:.4f}, "
+            f"{gate['delta_points']:+.2f} pts)"
         )
-    for workload, gate in atlas.items():
+    for workload, gate in results["atlas_acceptance"].items():
         if not gate["passed"]:
             print(
                 f"FAIL: chrome byte hit ratio "

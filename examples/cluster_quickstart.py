@@ -15,7 +15,7 @@ Three demos on one seeded ``zipf_scan`` stream:
 3. **Client-count invariance** — the killed-shard fleet produces
    byte-identical metrics with 1 and 64 concurrent clients, because
    routing, liveness and federation are all pure functions of the
-   ticket-sequenced virtual clock.
+   request sequence number and the virtual clock.
 
 Run:
     PYTHONPATH=src python examples/cluster_quickstart.py

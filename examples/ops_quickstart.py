@@ -18,7 +18,7 @@ Three demos of the live-operations layer (`repro.ops`, DESIGN.md §10):
 3. **Client-count invariance** — the full guarded run (windows, trips,
    rollbacks, every event's seq and virtual timestamp) is bit-identical
    with 1 and 64 concurrent clients, because every ops decision fires
-   at window boundaries of the global ticket sequence.
+   at window boundaries of the global request sequence.
 
 Run:
     PYTHONPATH=src python examples/ops_quickstart.py

@@ -12,7 +12,7 @@ any client count and across process boundaries.
 * :class:`~repro.ops.config.OpsConfig` — the frozen spec (window size,
   challenger policy, promotion/guardrail thresholds, snapshot cadence);
 * :class:`~repro.ops.shadow.ShadowHarness` — an isolated challenger
-  service fed the champion's ticket-sequenced request stream, with
+  service fed the champion's sequence-ordered request stream, with
   zero effect on served results;
 * :class:`~repro.ops.guardrail.Guardrail` — obs-derived window signals
   (p99, byte-hit EWMA, error/shed/breaker fractions) against

@@ -36,7 +36,6 @@ process boundaries (the ``ops_determinism`` golden pins whole runs).
 
 from __future__ import annotations
 
-import asyncio
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -44,7 +43,7 @@ from ..core.config import ACTION_BYPASS
 from ..obs.signals import SignalReader, WindowSignals
 from ..serve.config import LatencyConfig, ServiceConfig
 from ..serve.metrics import MetricsRecorder, ServeMetrics
-from ..serve.service import CacheService, _drive, replay_requests
+from ..serve.service import CacheService, drive_requests
 from ..serve.store import ObjectStore
 from ..serve.workloads import Request
 from .config import OpsConfig
@@ -383,10 +382,7 @@ def run_ops(
         shadow=shadow,
         obs=obs,
     )
-    if config.num_clients <= 1:
-        replay_requests(service, requests)
-    else:
-        asyncio.run(_drive(service, requests, config.num_clients))
+    drive_requests(service, requests, config.num_clients)
     metrics = recorder.finalize()
     metrics.telemetry = dict(policy.telemetry())
     service.obs_summary(metrics)
@@ -442,8 +438,5 @@ def run_cluster_ops(
         shadow=shadow,
         obs=obs,
     )
-    if config.num_clients <= 1:
-        replay_requests(cluster, requests)
-    else:
-        asyncio.run(_drive(cluster, requests, config.num_clients))
+    drive_requests(cluster, requests, config.num_clients)
     return controller.result(cluster.finalize())

@@ -53,6 +53,7 @@ from .service import (
     Backend,
     CacheService,
     LatencyConfig,
+    drive_requests,
     replay_requests,
     run_configured,
     run_service,
@@ -106,6 +107,7 @@ __all__ = [
     "WORKLOAD_SPECS",
     "WorkloadSpec",
     "build_workload",
+    "drive_requests",
     "key_namespace",
     "make_serve_policy",
     "object_size",

@@ -6,10 +6,14 @@ therefore every hit-ratio number — depends on scheduler whims.  This
 module gets both:
 
 * **state mutation is sequenced** — each request carries its global
-  sequence number, and a ticket discipline (:class:`_Sequencer`) lets
-  clients interleave freely but forces lookup/admit/evict to happen in
-  sequence order.  ``num_clients=1`` and ``num_clients=64`` produce
-  bit-identical :class:`~repro.serve.metrics.ServeMetrics`;
+  sequence number, and the N client coroutines pull ``(seq, req)``
+  pairs from one shared stream (:func:`drive_requests`).  Only one
+  coroutine runs at a time and :meth:`CacheService.process` never
+  awaits, so lookup/admit/evict happen in sequence order by
+  construction, with no lock and no per-request wake-ups; clients
+  interleave where a real client would wait — after a miss.
+  ``num_clients=1`` and ``num_clients=64`` produce bit-identical
+  :class:`~repro.serve.metrics.ServeMetrics`;
 * **time is virtual** — request latency comes from a deterministic
   model (:class:`Backend`): arrival times are ``seq x inter_arrival``,
   a backend fetch costs base + bytes/bandwidth + a queueing penalty
@@ -38,7 +42,7 @@ from __future__ import annotations
 
 import asyncio
 import heapq
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .agent import BackendObstructionMonitor
 from .config import LatencyConfig, ServiceConfig
@@ -90,30 +94,13 @@ class Backend:
         return len(completions)
 
 
-class _Sequencer:
-    """Ticket lock over request sequence numbers (asyncio Condition)."""
-
-    def __init__(self) -> None:
-        self._next = 0
-        self._cond = asyncio.Condition()
-
-    async def turn(self, seq: int) -> None:
-        async with self._cond:
-            await self._cond.wait_for(lambda: self._next == seq)
-
-    async def advance(self) -> None:
-        async with self._cond:
-            self._next += 1
-            self._cond.notify_all()
-
-
 class CacheService:
     """The serving front-end: lookup, origin fetch, admission, metrics.
 
     :meth:`process` is the synchronous per-request core — everything
-    that touches shared state.  The async driver wraps it in the ticket
-    discipline; :func:`replay_requests` calls it in a plain loop.  Both
-    produce identical results by construction (and by test).
+    that touches shared state.  :func:`drive_requests` calls it in
+    sequence order from one or many clients; the results are identical
+    by construction (and by test).
     """
 
     def __init__(
@@ -488,36 +475,6 @@ class CacheService:
             reg.set_gauges("serve.policy", metrics.telemetry)
 
 
-async def _client(
-    service: CacheService,
-    sequencer: _Sequencer,
-    assigned: Sequence[Tuple[int, Request]],
-) -> None:
-    for seq, req in assigned:
-        await sequencer.turn(seq)
-        hit = service.process(seq, req)
-        await sequencer.advance()
-        if not hit:
-            # A miss awaits its origin fetch: yield so other clients
-            # run ahead — real interleaving, deterministic results.
-            await asyncio.sleep(0)
-
-
-async def _drive(
-    service: CacheService, requests: Sequence[Request], num_clients: int
-) -> None:
-    # Round-robin assignment: client i serves requests i, i+N, i+2N, ...
-    assignments: List[List[Tuple[int, Request]]] = [
-        [] for _ in range(num_clients)
-    ]
-    for seq, req in enumerate(requests):
-        assignments[seq % num_clients].append((seq, req))
-    sequencer = _Sequencer()
-    await asyncio.gather(
-        *(_client(service, sequencer, a) for a in assignments if a)
-    )
-
-
 def replay_requests(
     service: CacheService, requests: Sequence[Request]
 ) -> None:
@@ -525,6 +482,52 @@ def replay_requests(
     process = service.process
     for seq, req in enumerate(requests):
         process(seq, req)
+
+
+async def _client(
+    service: CacheService, stream: Iterator[Tuple[int, Request]]
+) -> None:
+    process = service.process
+    try:
+        for seq, req in stream:
+            if not process(seq, req):
+                # A miss awaits its origin fetch: yield so other clients
+                # run ahead — real interleaving, deterministic results.
+                await asyncio.sleep(0)
+    finally:
+        # Fail-stop: a raise at seq k closes the shared stream, so the
+        # other clients find it exhausted and nothing past k runs.
+        stream.close()
+
+
+async def _gather_clients(
+    service: CacheService, requests: Sequence[Request], num_clients: int
+) -> None:
+    # A generator, not the bare enumerate, so a failing client can close it.
+    stream = (item for item in enumerate(requests))
+    await asyncio.gather(
+        *(_client(service, stream) for _ in range(num_clients))
+    )
+
+
+def drive_requests(
+    service, requests: Sequence[Request], num_clients: int
+) -> None:
+    """Feed ``requests`` to ``service.process`` in sequence order.
+
+    ``service`` is anything with a synchronous ``process(seq, req) ->
+    hit`` (a :class:`CacheService`, a cluster).  One client replays in
+    a plain loop; more clients share one stream of ``(seq, req)``
+    pairs.  Only one coroutine runs at a time and ``process`` never
+    awaits, so each pull-and-process is atomic and requests are
+    processed in sequence order by construction — results are
+    bit-identical at any client count.  A client yields only after a
+    miss, where a real client would wait on the origin.
+    """
+    if num_clients <= 1:
+        replay_requests(service, requests)
+    else:
+        asyncio.run(_gather_clients(service, requests, num_clients))
 
 
 def run_configured(
@@ -580,10 +583,7 @@ def run_configured(
         keys = [req.key for req in requests]
         for start in range(0, len(keys), 4096):
             store.preclassify(keys[start : start + 4096])
-    if config.num_clients <= 1:
-        replay_requests(service, requests)
-    else:
-        asyncio.run(_drive(service, requests, config.num_clients))
+    drive_requests(service, requests, config.num_clients)
     metrics = recorder.finalize()
     metrics.telemetry = dict(policy.telemetry())
     service.obs_summary(metrics)

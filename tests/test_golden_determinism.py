@@ -114,11 +114,16 @@ def _run_case(policy_factory, traces, cores, warmup=0, cap=None) -> dict:
 
 
 def compute_golden() -> dict:
-    """The four pinned workloads (shared by the test and --regenerate)."""
+    """The five pinned workloads (shared by the test and --regenerate)."""
     mix2 = lambda: heterogeneous_mix(
         ["mcf06", "libquantum06"], 1500, seed=7, scale=SCALE
     )
     mix16 = lambda: homogeneous_mix("mcf06", 16, 250, seed=3, scale=SCALE)
+    # GAP graphs are seeded per dataset; this case pins that the seeding
+    # is stable across processes and hash seeds.
+    gap2 = lambda: heterogeneous_mix(
+        ["sssp-tw", "bfs-or"], 6000, seed=5, scale=SCALE
+    )
     return {
         "lru_2core": _run_case(LRUPolicy, mix2(), 2, warmup=400),
         "chrome_2core": _run_case(ChromePolicy, mix2(), 2, warmup=400),
@@ -126,6 +131,7 @@ def compute_golden() -> dict:
         "chrome_16core_capped": _run_case(
             ChromePolicy, mix16(), 16, warmup=60, cap=200
         ),
+        "chrome_gap_2core": _run_case(ChromePolicy, gap2(), 2, warmup=1200),
     }
 
 
@@ -527,7 +533,14 @@ def golden() -> dict:
 
 
 @pytest.mark.parametrize(
-    "case", ["lru_2core", "chrome_2core", "lru_16core", "chrome_16core_capped"]
+    "case",
+    [
+        "lru_2core",
+        "chrome_2core",
+        "lru_16core",
+        "chrome_16core_capped",
+        "chrome_gap_2core",
+    ],
 )
 def test_stats_bit_identical(case: str, computed: dict, golden: dict) -> None:
     assert computed[case] == golden[case], (

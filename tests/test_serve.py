@@ -1,6 +1,8 @@
 """Unit tests for the serving layer: workloads, store, policies,
 agent facade, and the concurrent service's determinism guarantees."""
 
+import asyncio
+
 import pytest
 
 from repro.serve.agent import (
@@ -20,6 +22,7 @@ from repro.serve.policies import (
 from repro.serve.service import (
     CacheService,
     LatencyConfig,
+    drive_requests,
     replay_requests,
     run_service,
 )
@@ -331,17 +334,79 @@ def test_async_driver_matches_sync_replay():
     sync_service = CacheService(stores[0])
     replay_requests(sync_service, requests)
 
-    import asyncio
-
-    from repro.serve.service import _drive
-
     async_service = CacheService(stores[1])
-    asyncio.run(_drive(async_service, requests, num_clients=5))
+    drive_requests(async_service, requests, num_clients=5)
     assert stores[0].hits == stores[1].hits
     assert stores[0]._segment_bytes == stores[1]._segment_bytes
     assert repr(sync_service.backend.bytes_fetched) == repr(
         async_service.backend.bytes_fetched
     )
+
+
+# --- driver contract (a spy stands in for the service) -------------------------
+
+
+class _SpyFailure(RuntimeError):
+    pass
+
+
+class _SpyService:
+    """Records each ``process`` call's seq and asyncio task.
+
+    ``hit(seq)`` decides the returned hit flag (a miss makes the
+    driver yield); ``fail_at`` raises on that seq.
+    """
+
+    def __init__(self, hit=lambda seq: False, fail_at: int = -1) -> None:
+        self.hit = hit
+        self.fail_at = fail_at
+        self.seqs = []
+        self.tasks = []
+
+    def process(self, seq, req) -> bool:
+        self.seqs.append(seq)
+        try:
+            self.tasks.append(asyncio.current_task())
+        except RuntimeError:  # serial replay: no running loop
+            self.tasks.append(None)
+        if seq == self.fail_at:
+            raise _SpyFailure(seq)
+        return self.hit(seq)
+
+
+_N = 40
+
+
+@pytest.mark.parametrize("clients", [1, 2, 8, 64, _N + 3])
+def test_driver_processes_in_sequence_order(clients):
+    requests = build_workload("zipf", _N, seed=2)
+    spy = _SpyService(hit=lambda seq: seq % 3 == 0)
+    drive_requests(spy, requests, clients)
+    assert spy.seqs == list(range(_N))
+
+
+@pytest.mark.parametrize("clients", [1, 8])
+def test_driver_empty_stream_returns_cleanly(clients):
+    spy = _SpyService()
+    drive_requests(spy, [], clients)
+    assert spy.seqs == []
+
+
+def test_driver_clients_interleave_on_misses():
+    spy = _SpyService(hit=lambda seq: seq % 2 == 0)
+    drive_requests(spy, build_workload("zipf", _N, seed=2), 8)
+    assert len(set(spy.tasks)) >= 2
+    assert None not in spy.tasks
+
+
+@pytest.mark.parametrize("clients", [1, 2, 8, 64])
+@pytest.mark.parametrize("fail_at", [0, 5, _N - 1])
+def test_driver_stops_at_the_failing_request(clients, fail_at):
+    """A raise at seq k propagates and nothing after k is processed."""
+    spy = _SpyService(fail_at=fail_at)
+    with pytest.raises(_SpyFailure):
+        drive_requests(spy, build_workload("zipf", _N, seed=2), clients)
+    assert spy.seqs == list(range(fail_at + 1))
 
 
 def test_warmup_requests_excluded_from_metrics():

@@ -37,7 +37,7 @@ import pytest
 
 from repro.serve.jobs import ServeJob
 from repro.serve.metrics import MetricsRecorder
-from repro.serve.service import CacheService, _drive, replay_requests
+from repro.serve.service import CacheService, drive_requests
 from repro.serve.store import ObjectStore
 from repro.serve.workloads import build_workload
 
@@ -154,8 +154,6 @@ def random_job(rng: random.Random, policy: str) -> ServeJob:
 
 def run_audited(job: ServeJob):
     """Mirror :meth:`ServeJob.execute` with an audited store + guards."""
-    import asyncio
-
     total = job.num_requests + job.warmup_requests
     requests = build_workload(
         job.workload, total, seed=job.seed, **dict(job.workload_params)
@@ -173,10 +171,7 @@ def run_audited(job: ServeJob):
     )
     if service.resilience is not None:
         BreakerGuard(service)
-    if job.num_clients <= 1:
-        replay_requests(service, requests)
-    else:
-        asyncio.run(_drive(service, requests, job.num_clients))
+    drive_requests(service, requests, job.num_clients)
     return recorder.finalize(), service
 
 
