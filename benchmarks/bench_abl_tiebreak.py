@@ -5,10 +5,6 @@ through the experiment registry with the table saved under
 benchmarks/results/.
 """
 
-from repro.experiments.figures import _register_ablations
-
-_register_ablations()
-
 
 def test_abl_tiebreak(regenerate):
     result = regenerate("abl_tiebreak")

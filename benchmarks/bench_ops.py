@@ -101,6 +101,30 @@ def _run(scenario: str, requests, config, ops) -> dict:
     }
 
 
+def evaluate_gates(runs: dict) -> dict:
+    """The acceptance decision, a pure function of the per-scenario
+    records (``results["runs"]``: scenario -> record).
+
+    Returns the ``acceptance`` entry of the results file: the guarded
+    run must strictly beat the unguarded one on byte hit and p99, and
+    its guardrail must have tripped and rolled back.
+    """
+    guarded, unguarded = runs["guarded_degrade"], runs["unguarded_degrade"]
+    gate_byte_hit = guarded["byte_hit_ratio"] > unguarded["byte_hit_ratio"]
+    gate_p99 = guarded["p99_latency_ms"] < unguarded["p99_latency_ms"]
+    reacted = guarded["trips"] >= 1 and guarded["rollbacks"] >= 1
+    return {
+        "criterion": (
+            "guarded beats unguarded on byte_hit AND p99, with >=1 "
+            "trip and >=1 rollback"
+        ),
+        "gate_byte_hit": gate_byte_hit,
+        "gate_p99": gate_p99,
+        "guardrail_reacted": reacted,
+        "passed": gate_byte_hit and gate_p99 and reacted,
+    }
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -140,11 +164,6 @@ def main() -> int:
             f"rollbacks={r['rollbacks']}"
         )
 
-    guarded, unguarded = runs["guarded_degrade"], runs["unguarded_degrade"]
-    gate_byte_hit = guarded["byte_hit_ratio"] > unguarded["byte_hit_ratio"]
-    gate_p99 = guarded["p99_latency_ms"] < unguarded["p99_latency_ms"]
-    reacted = guarded["trips"] >= 1 and guarded["rollbacks"] >= 1
-
     results = {
         "description": (
             "Live-operations guardrail benchmark (benchmarks/bench_ops.py): "
@@ -168,29 +187,23 @@ def main() -> int:
             "seed": SEED,
         },
         "runs": runs,
-        "acceptance": {
-            "criterion": (
-                "guarded beats unguarded on byte_hit AND p99, with >=1 "
-                "trip and >=1 rollback"
-            ),
-            "gate_byte_hit": gate_byte_hit,
-            "gate_p99": gate_p99,
-            "guardrail_reacted": reacted,
-            "passed": gate_byte_hit and gate_p99 and reacted,
-        },
+        "acceptance": evaluate_gates(runs),
     }
 
     args.json.parent.mkdir(parents=True, exist_ok=True)
     args.json.write_text(json.dumps(results, indent=1) + "\n")
     print(f"wrote {args.json}")
 
-    if not results["acceptance"]["passed"]:
+    gate = results["acceptance"]
+    if not gate["passed"]:
         print(
             "FAIL: guarded run did not strictly beat the unguarded run "
-            f"(byte_hit {gate_byte_hit}, p99 {gate_p99}, reacted {reacted})",
+            f"(byte_hit {gate['gate_byte_hit']}, p99 {gate['gate_p99']}, "
+            f"reacted {gate['guardrail_reacted']})",
             file=sys.stderr,
         )
         return 1
+    guarded, unguarded = runs["guarded_degrade"], runs["unguarded_degrade"]
     print(
         "OK: rollback recovered the fleet — guarded "
         f"byte_hit {guarded['byte_hit_ratio']:.4f} > "

@@ -93,6 +93,38 @@ def run_one(
     }
 
 
+def evaluate_gates(policies: dict) -> dict:
+    """The acceptance decision, a pure function of the per-policy
+    records (``results["policies"]``: policy -> {"naive", "resilient"}).
+
+    Returns the ``acceptance`` entry of the results file: per policy,
+    resilient must beat naive on error rate *and* p99 latency.
+    """
+    per_policy = {}
+    for policy, table in policies.items():
+        naive, resilient = table["naive"], table["resilient"]
+        per_policy[policy] = {
+            "naive_error_rate": naive["error_rate"],
+            "resilient_error_rate": resilient["error_rate"],
+            "naive_p99_ms": naive["p99_latency_ms"],
+            "resilient_p99_ms": resilient["p99_latency_ms"],
+            "error_rate_improved": resilient["error_rate"] < naive["error_rate"],
+            "p99_improved": resilient["p99_latency_ms"] < naive["p99_latency_ms"],
+        }
+    return {
+        "criterion": (
+            "per policy: resilient error_rate < naive error_rate AND "
+            "resilient p99_latency_ms < naive p99_latency_ms under the "
+            "same injected faults"
+        ),
+        "per_policy": per_policy,
+        "passed": all(
+            v["error_rate_improved"] and v["p99_improved"]
+            for v in per_policy.values()
+        ),
+    }
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     scale = ExperimentScale.from_env()
@@ -148,12 +180,6 @@ def main() -> int:
         "policies": {},
     }
 
-    acceptance = {"criterion": (
-        "per policy: resilient error_rate < naive error_rate AND "
-        "resilient p99_latency_ms < naive p99_latency_ms under the "
-        "same injected faults"
-    ), "per_policy": {}, "passed": True}
-
     for policy in FAULT_POLICIES:
         table = {}
         for mode, params in (("naive", NAIVE_PARAMS), ("resilient", res_params)):
@@ -172,20 +198,8 @@ def main() -> int:
                 f"({record['wall_seconds']}s)"
             )
         results["policies"][policy] = table
-        naive, resilient = table["naive"], table["resilient"]
-        verdict = {
-            "naive_error_rate": naive["error_rate"],
-            "resilient_error_rate": resilient["error_rate"],
-            "naive_p99_ms": naive["p99_latency_ms"],
-            "resilient_p99_ms": resilient["p99_latency_ms"],
-            "error_rate_improved": resilient["error_rate"] < naive["error_rate"],
-            "p99_improved": resilient["p99_latency_ms"] < naive["p99_latency_ms"],
-        }
-        acceptance["per_policy"][policy] = verdict
-        if not (verdict["error_rate_improved"] and verdict["p99_improved"]):
-            acceptance["passed"] = False
 
-    results["acceptance"] = acceptance
+    acceptance = results["acceptance"] = evaluate_gates(results["policies"])
     args.json.parent.mkdir(parents=True, exist_ok=True)
     args.json.write_text(json.dumps(results, indent=1) + "\n")
     print(f"wrote {args.json}")

@@ -20,9 +20,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.figures import run_experiment
-from repro.experiments.report import ExperimentResult, render
-from repro.experiments.runner import ExperimentScale, Runner
+from repro.experiments import (
+    Engine,
+    ExperimentResult,
+    ExperimentScale,
+    render,
+    run_experiment,
+)
 
 #: bench-suite defaults (env vars still win)
 #: Online-RL convergence needs run length: CHROME keeps improving up to
@@ -40,12 +44,17 @@ RESULTS_DIR = Path(__file__).parent / "results"
 
 
 @pytest.fixture(scope="session")
-def experiment_runner() -> Runner:
-    """One Runner for the whole session: Figs. 6-9 share simulations,
-    and every experiment shares the cached LRU baselines."""
+def bench_scale() -> ExperimentScale:
     for key, value in BENCH_DEFAULTS.items():
         os.environ.setdefault(key, value)
-    return Runner(ExperimentScale.from_env())
+    return ExperimentScale.from_env()
+
+
+@pytest.fixture(scope="session")
+def bench_engine() -> Engine:
+    """One serial engine for the whole session: Figs. 6-9 share
+    simulations, and every experiment shares the LRU baselines."""
+    return Engine(workers=1)
 
 
 @pytest.fixture(scope="session")
@@ -55,12 +64,12 @@ def results_dir() -> Path:
 
 
 @pytest.fixture
-def regenerate(benchmark, experiment_runner, results_dir):
+def regenerate(benchmark, bench_scale, bench_engine, results_dir):
     """Run one experiment under pytest-benchmark and persist its table."""
 
     def _run(experiment_id: str) -> ExperimentResult:
         result = benchmark.pedantic(
-            lambda: run_experiment(experiment_id, experiment_runner),
+            lambda: run_experiment(experiment_id, bench_scale, bench_engine),
             rounds=1,
             iterations=1,
         )

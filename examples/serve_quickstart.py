@@ -31,9 +31,10 @@ from repro.serve import (  # noqa: E402
     ChromeServePolicy,
     FaultConfig,
     ResilienceConfig,
+    ServiceConfig,
     build_workload,
     make_serve_policy,
-    run_service,
+    run_configured,
 )
 
 CAPACITY = 16 << 20  # 16 MiB object store
@@ -47,10 +48,9 @@ def compare_policies(requests, warmup: int) -> ChromeServePolicy:
     chrome_policy = None
     for name in ("lru", "lfu", "gdsf", "s3fifo", "chrome"):
         policy = make_serve_policy(name, **({"seed": 7} if name == "chrome" else {}))
-        metrics = run_service(
-            requests, policy, CAPACITY, SEGMENTS,
-            num_clients=8, warmup_requests=warmup,
-        )
+        config = ServiceConfig(CAPACITY, SEGMENTS, policy=name,
+                               num_clients=8, warmup_requests=warmup)
+        metrics = run_configured(requests, config, policy=policy)
         print(f"{name:8s} {metrics.object_hit_ratio:10.4f} "
               f"{metrics.byte_hit_ratio:9.4f} {metrics.backend_load:8.4f} "
               f"{metrics.p99_latency_ms:7.2f}")
@@ -71,8 +71,9 @@ def warm_start_round_trip(trained: ChromeServePolicy, requests) -> None:
         for attempt in range(2):
             policy = ChromeServePolicy(seed=7)
             policy.agent.restore(snapshot)
-            metrics = run_service(requests, policy, CAPACITY, SEGMENTS,
-                                  num_clients=4)
+            config = ServiceConfig(CAPACITY, SEGMENTS, policy="chrome",
+                                   num_clients=4)
+            metrics = run_configured(requests, config, policy=policy)
             continuations.append(
                 (metrics.hits, policy.agent.qtable.state_dict())
             )
@@ -125,10 +126,9 @@ def brownout_demo(num_requests: int) -> None:
         ("naive", ResilienceConfig.none()),
         ("resilient", resilient),
     ):
-        metrics = run_service(
-            traffic, make_serve_policy("lru"), capacity, segments,
-            num_clients=8, faults=faults, resilience=policy_config,
-        )
+        config = ServiceConfig(capacity, segments, num_clients=8,
+                               faults=faults, resilience=policy_config)
+        metrics = run_configured(traffic, config, policy=make_serve_policy("lru"))
         # errors concentrate on the browned-out tenant; per-tenant hit
         # ratios show the blast radius stays contained
         t0 = metrics.per_tenant[0]

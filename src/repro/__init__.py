@@ -78,7 +78,6 @@ from .experiments import (
     MixSpec,
     PolicySpec,
     ResultCache,
-    Runner,
     SimJob,
     available_experiments,
     register_experiment,
@@ -99,7 +98,6 @@ from .serve import (
     ServeMetrics,
     ServiceConfig,
     run_configured,
-    run_service,
 )
 from .sim.replacement import PAPER_SCHEMES, POLICY_REGISTRY, make_policy
 from .traces import (
@@ -112,7 +110,7 @@ from .traces import (
     homogeneous_mix,
 )
 
-__version__ = "1.2.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "ALL_SPEC_WORKLOADS",
@@ -146,7 +144,6 @@ __all__ = [
     "POLICY_REGISTRY",
     "QTable",
     "RewardConfig",
-    "Runner",
     "ServeJob",
     "ServeMetrics",
     "ServiceConfig",
@@ -171,7 +168,6 @@ __all__ = [
     "run_cluster",
     "run_configured",
     "run_experiment",
-    "run_service",
     "save_agent",
     "__version__",
 ]

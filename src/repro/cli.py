@@ -24,11 +24,10 @@ import time
 from typing import List, Optional
 
 from .experiments.engine import Engine
-from .experiments.figures import run_experiment
 from .experiments.progress import ProgressReporter
-from .experiments.registry import available_experiments
+from .experiments.registry import available_experiments, run_experiment
 from .experiments.report import render
-from .experiments.runner import ExperimentScale, Runner
+from .experiments.runner import ExperimentScale
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -470,12 +469,11 @@ def _run_cli(argv: Optional[List[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    # One runner for the whole invocation: every experiment (plan-based
-    # figure or runner-based ablation) shares the engine's job pool.
-    runner = Runner(scale, engine=engine)
+    # One engine for the whole invocation: every experiment's plan
+    # shares its job pool, so overlapping jobs run once.
     for target in targets:
         start = time.time()
-        result = run_experiment(target, runner)
+        result = run_experiment(target, scale, engine)
         print(render(result))
         print(f"[{target} took {time.time() - start:.1f}s]\n")
     stats = engine.stats

@@ -157,11 +157,4 @@ def cluster_plan(scale: ExperimentScale) -> ExperimentPlan:
     )
 
 
-def _register() -> None:
-    def runner_fn(runner):
-        return runner.run_plan(cluster_plan(runner.scale))
-
-    register_experiment("cluster", runner_fn, plan=cluster_plan)
-
-
-_register()
+register_experiment("cluster", cluster_plan)

@@ -81,11 +81,4 @@ def env_toy_plan(scale: ExperimentScale) -> ExperimentPlan:
     )
 
 
-def _register() -> None:
-    def runner_fn(runner):
-        return runner.run_plan(env_toy_plan(runner.scale))
-
-    register_experiment("env_toy", runner_fn, plan=env_toy_plan)
-
-
-_register()
+register_experiment("env_toy", env_toy_plan)

@@ -1,15 +1,17 @@
 """Experiment harness: regenerate every table and figure of the paper.
 
-The public surface is the registry (:func:`register_experiment`,
-:func:`available_experiments`, :func:`run_experiment`) plus the
-declarative job model (:class:`SimJob`, :class:`ExperimentPlan`) and
-the parallel :class:`Engine` that schedules it.  Importing this package
-eagerly registers every paper artifact *and* the beyond-the-paper
-ablations — no private bootstrap calls.
+There is one way to run an experiment: every id maps to a plan builder
+(``scale -> ExperimentPlan``) holding declarative jobs (:class:`SimJob`
+and the serve/cluster/ops/env job kinds) plus a pure assembly step, and
+the parallel :class:`Engine` runs the plan.  The public surface is the
+registry (:func:`register_experiment`, :func:`available_experiments`,
+:func:`get_plan`, :func:`run_experiment`), the job model and the
+engine.  Importing this package eagerly registers every paper artifact,
+the beyond-the-paper ablations and the domain experiments — no private
+bootstrap calls.
 """
 
 from .engine import Engine, EngineStats, ExperimentPlan
-from .figures import EXPERIMENTS, run_experiment, spec_homogeneous_suite
 from .jobspec import (
     MixSpec,
     PolicySpec,
@@ -29,22 +31,22 @@ from .metrics import (
 from .progress import NullProgress, ProgressReporter
 from .registry import (
     available_experiments,
-    get_experiment,
     get_plan,
     register_experiment,
+    run_experiment,
 )
 from .report import ExperimentResult, render, render_all
 from .result_cache import ResultCache
-from .runner import ExperimentScale, Runner, chrome_with, resolve_policy
+from .runner import ExperimentScale, chrome_with, resolve_policy
 
-from . import ablations as _ablations  # noqa: F401  (eager registration)
+from . import figures as _figures  # noqa: F401  (fig*/tab* ids)
+from . import ablations as _ablations  # noqa: F401  (abl_* ids)
 from ..serve import experiments as _serve_experiments  # noqa: F401  (serve_* ids)
 from ..cluster import experiments as _cluster_experiments  # noqa: F401  (cluster id)
 from ..ops import experiments as _ops_experiments  # noqa: F401  (serve_ops id)
 from ..env import experiments as _env_experiments  # noqa: F401  (env_toy id)
 
 __all__ = [
-    "EXPERIMENTS",
     "Engine",
     "EngineStats",
     "ExperimentPlan",
@@ -56,13 +58,11 @@ __all__ = [
     "PolicySpec",
     "ProgressReporter",
     "ResultCache",
-    "Runner",
     "SimJob",
     "available_experiments",
     "chrome_with",
     "execute_job",
     "geometric_mean",
-    "get_experiment",
     "get_plan",
     "job_fingerprint",
     "job_for",
@@ -72,7 +72,6 @@ __all__ = [
     "render_all",
     "resolve_policy",
     "run_experiment",
-    "spec_homogeneous_suite",
     "speedup_percent",
     "summarize",
     "weighted_speedup",

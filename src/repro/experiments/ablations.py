@@ -17,12 +17,16 @@ studies:
 
 Plus ``extended_baselines``: the classical policies (random, SRRIP,
 DRRIP, SHiP++) the paper omits, for context.
+
+Each study is a plan over the same 4-core homogeneous jobs as the
+paper figures.  The CHROME variants are named policy factories, so
+their jobs go through the engine like any other (``--jobs N``, disk
+cache), and the plain ``chrome`` rows are the very jobs Fig. 6 runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Sequence
 
 from ..core.chrome import ChromePolicy
 from ..core.config import (
@@ -33,11 +37,11 @@ from ..core.config import (
     ChromeConfig,
 )
 from ..core.rewards import RewardConfig
-from .metrics import geometric_mean, speedup_percent, weighted_speedup
-from .report import ExperimentResult
-from .runner import Runner, scaled_sampled_sets
-from .figures import _suite_workloads
+from .engine import ExperimentPlan
+from .figures import _suite_workloads, variant_speedup_plan
+from .jobspec import PolicySpec, register_policy_factory
 from .registry import register_experiment
+from .runner import ExperimentScale, scaled_sampled_sets
 
 
 class NoBypassChromePolicy(ChromePolicy):
@@ -70,145 +74,124 @@ class BypassFirstChromePolicy(ChromePolicy):
         )
 
 
-def _chrome_cfg(runner: Runner, **overrides) -> ChromeConfig:
-    return replace(
-        ChromeConfig(),
-        sampled_sets=scaled_sampled_sets(runner.scale.machine_scale),
-        **overrides,
-    )
+#: R^P collapsed onto R^D (objective 2 of Sec. IV-C disabled)
+FLAT_PREFETCH_REWARDS = RewardConfig(
+    r_ac_prefetch=RewardConfig().r_ac_demand,
+    r_in_prefetch=RewardConfig().r_in_demand,
+)
 
 
-def _suite_geomean(
-    runner: Runner, policy_factory, workloads: Sequence[str], num_cores: int = 4
-) -> float:
-    speedups: List[float] = []
-    for name in workloads:
-        mix_key, traces = runner.make_homogeneous(name, num_cores)
-        base = runner.baseline(mix_key, traces)
-        result = runner.run(policy_factory(), traces)
-        speedups.append(weighted_speedup(result.ipcs, base.ipcs))
-    return speedup_percent(geometric_mean(speedups))
+def _chrome_factory(policy_cls, **overrides):
+    """A policy factory building ``policy_cls`` at the run's scaled
+    sampled-set count (see :func:`~repro.experiments.runner.resolve_policy`)."""
+
+    def build(machine_scale: float) -> ChromePolicy:
+        return policy_cls(
+            replace(
+                ChromeConfig(),
+                sampled_sets=scaled_sampled_sets(machine_scale),
+                **overrides,
+            )
+        )
+
+    return build
 
 
-def abl_bypass(runner: Runner) -> ExperimentResult:
-    workloads = _suite_workloads(runner.scale)
-    rows = [
-        ["chrome", _suite_geomean(runner, lambda: ChromePolicy(_chrome_cfg(runner)), workloads)],
-        [
-            "chrome-nobypass",
-            _suite_geomean(
-                runner, lambda: NoBypassChromePolicy(_chrome_cfg(runner)), workloads
-            ),
-        ],
-    ]
-    return ExperimentResult(
-        experiment_id="abl_bypass",
-        title="Ablation: holistic bypassing (4-core SPEC homogeneous, %)",
-        columns=["variant", "speedup_pct"],
-        rows=rows,
+register_policy_factory("chrome_nobypass", _chrome_factory(NoBypassChromePolicy))
+register_policy_factory(
+    "chrome_bypassfirst", _chrome_factory(BypassFirstChromePolicy)
+)
+register_policy_factory(
+    "chrome_flat_prefetch_rewards",
+    _chrome_factory(ChromePolicy, rewards=FLAT_PREFETCH_REWARDS),
+)
+
+CHROME = PolicySpec.named("chrome")
+
+
+def abl_bypass_plan(scale: ExperimentScale) -> ExperimentPlan:
+    return variant_speedup_plan(
+        scale,
+        "abl_bypass",
+        "Ablation: holistic bypassing (4-core SPEC homogeneous, %)",
+        "variant",
+        [("chrome", CHROME), ("chrome-nobypass", PolicySpec("chrome_nobypass"))],
         notes=["expectation: removing the bypass action forfeits pollution wins"],
     )
 
 
-def abl_prefetch_rewards(runner: Runner) -> ExperimentResult:
-    workloads = _suite_workloads(runner.scale)
-    undifferentiated = RewardConfig(
-        r_ac_prefetch=RewardConfig().r_ac_demand,
-        r_in_prefetch=RewardConfig().r_in_demand,
-    )
-    rows = [
-        ["chrome", _suite_geomean(runner, lambda: ChromePolicy(_chrome_cfg(runner)), workloads)],
+def abl_prefetch_rewards_plan(scale: ExperimentScale) -> ExperimentPlan:
+    return variant_speedup_plan(
+        scale,
+        "abl_prefetch_rewards",
+        "Ablation: demand/prefetch reward differentiation (%)",
+        "variant",
         [
-            "chrome-flat-prefetch-rewards",
-            _suite_geomean(
-                runner,
-                lambda: ChromePolicy(_chrome_cfg(runner, rewards=undifferentiated)),
-                workloads,
+            ("chrome", CHROME),
+            (
+                "chrome-flat-prefetch-rewards",
+                PolicySpec("chrome_flat_prefetch_rewards"),
             ),
         ],
-    ]
-    return ExperimentResult(
-        experiment_id="abl_prefetch_rewards",
-        title="Ablation: demand/prefetch reward differentiation (%)",
-        columns=["variant", "speedup_pct"],
-        rows=rows,
         notes=["objective 2 of Sec. IV-C: demand retention should outrank prefetch"],
     )
 
 
-def abl_tiebreak(runner: Runner) -> ExperimentResult:
-    workloads = _suite_workloads(runner.scale)
-    rows = [
+def abl_tiebreak_plan(scale: ExperimentScale) -> ExperimentPlan:
+    return variant_speedup_plan(
+        scale,
+        "abl_tiebreak",
+        "Ablation: cold-state arg-max tie-break direction (%)",
+        "variant",
         [
-            "insert-first (repo default)",
-            _suite_geomean(runner, lambda: ChromePolicy(_chrome_cfg(runner)), workloads),
+            ("insert-first (repo default)", CHROME),
+            ("bypass-first", PolicySpec("chrome_bypassfirst")),
         ],
-        [
-            "bypass-first",
-            _suite_geomean(
-                runner, lambda: BypassFirstChromePolicy(_chrome_cfg(runner)), workloads
-            ),
-        ],
-    ]
-    return ExperimentResult(
-        experiment_id="abl_tiebreak",
-        title="Ablation: cold-state arg-max tie-break direction (%)",
-        columns=["variant", "speedup_pct"],
-        rows=rows,
         notes=["bypass-first can enter a self-reinforcing bypass spiral at short scale"],
     )
 
 
-def abl_sampling(runner: Runner) -> ExperimentResult:
-    workloads = _suite_workloads(runner.scale)
-    workloads = workloads[: max(3, len(workloads) // 2)]
-    full = scaled_sampled_sets(runner.scale.machine_scale)
-    rows = []
-    for sampled in sorted({16, 64, max(64, full // 4), full}):
-        factory = lambda sampled=sampled: ChromePolicy(
-            replace(ChromeConfig(), sampled_sets=sampled)
-        )
-        rows.append([sampled, _suite_geomean(runner, factory, workloads)])
-    return ExperimentResult(
-        experiment_id="abl_sampling",
-        title="Ablation: sampled-set training density (%)",
-        columns=["sampled_sets", "speedup_pct"],
-        rows=rows,
+def abl_sampling_plan(scale: ExperimentScale) -> ExperimentPlan:
+    workloads = _suite_workloads(scale)
+    full = scaled_sampled_sets(scale.machine_scale)
+    return variant_speedup_plan(
+        scale,
+        "abl_sampling",
+        "Ablation: sampled-set training density (%)",
+        "sampled_sets",
+        [
+            (sampled, PolicySpec.chrome_variant(sampled_sets=sampled))
+            for sampled in sorted({16, 64, max(64, full // 4), full})
+        ],
         notes=[
             "the paper's 64 sets assume full-length runs; scaled runs need "
             "proportionally denser sampling to preserve training density"
         ],
+        workloads=workloads[: max(3, len(workloads) // 2)],
     )
 
 
-def extended_baselines(runner: Runner) -> ExperimentResult:
-    workloads = _suite_workloads(runner.scale)
-    rows = []
-    for scheme in ("random", "srrip", "drrip", "ship++", "chrome"):
-        speedups = []
-        for name in workloads:
-            mix_key, traces = runner.make_homogeneous(name, 4)
-            metrics = runner.compare([scheme], mix_key, traces)
-            speedups.append(metrics[scheme].weighted_speedup)
-        rows.append([scheme, speedup_percent(geometric_mean(speedups))])
-    return ExperimentResult(
-        experiment_id="extended_baselines",
-        title="Extended baselines vs CHROME (4-core SPEC homogeneous, %)",
-        columns=["scheme", "speedup_pct"],
-        rows=rows,
+def extended_baselines_plan(scale: ExperimentScale) -> ExperimentPlan:
+    return variant_speedup_plan(
+        scale,
+        "extended_baselines",
+        "Extended baselines vs CHROME (4-core SPEC homogeneous, %)",
+        "scheme",
+        [
+            (scheme, PolicySpec.named(scheme))
+            for scheme in ("random", "srrip", "drrip", "ship++", "chrome")
+        ],
         notes=["classical policies omitted from the paper's comparison"],
     )
 
 
-ABLATIONS: Dict[str, object] = {
-    "abl_bypass": abl_bypass,
-    "abl_prefetch_rewards": abl_prefetch_rewards,
-    "abl_tiebreak": abl_tiebreak,
-    "abl_sampling": abl_sampling,
-    "extended_baselines": extended_baselines,
+ABLATIONS = {
+    "abl_bypass": abl_bypass_plan,
+    "abl_prefetch_rewards": abl_prefetch_rewards_plan,
+    "abl_tiebreak": abl_tiebreak_plan,
+    "abl_sampling": abl_sampling_plan,
+    "extended_baselines": extended_baselines_plan,
 }
 
-# Eager registration: importing repro.experiments is enough to make the
-# ablations addressable by id (no private bootstrap call needed).
-for _experiment_id, _fn in ABLATIONS.items():
-    register_experiment(_experiment_id, _fn, overwrite=False)
+for _experiment_id, _plan in ABLATIONS.items():
+    register_experiment(_experiment_id, _plan)

@@ -10,10 +10,10 @@ processes, deduplicates shared jobs between figures (Figs. 6-9 are four
 views of one suite; every figure shares the per-mix LRU baselines), and
 memoizes completed jobs on disk.
 
-The classic callable interface is preserved: ``fig6(runner)`` executes
-the plan on the runner's engine, and the registry
-(:mod:`repro.experiments.registry`) maps experiment ids
-(``fig1`` .. ``fig16``, ``tab3``/``tab4``/``tab7``) to both forms.
+The plan is the only form of an experiment: the registry
+(:mod:`repro.experiments.registry`) maps each id (``fig1`` .. ``fig16``,
+``tab3``/``tab4``/``tab7``) to its plan builder, and
+``run_experiment(id, scale, engine)`` runs that plan on an engine.
 
 Runs are scaled by :class:`ExperimentScale` (env-overridable); shapes,
 not absolute numbers, are the reproduction target (see DESIGN.md §5).
@@ -43,9 +43,9 @@ from .metrics import (
     summarize,
     weighted_speedup,
 )
-from .registry import EXPERIMENTS, ExperimentFn, register_experiment
+from .registry import register_experiment
 from .report import ExperimentResult
-from .runner import ExperimentScale, Runner
+from .runner import ExperimentScale
 
 SCHEMES: Tuple[str, ...] = tuple(PAPER_SCHEMES)
 
@@ -158,42 +158,52 @@ def _flat(*job_groups) -> Tuple[SimJob, ...]:
     return tuple(dict.fromkeys(jobs))
 
 
-def spec_homogeneous_suite(
-    runner: Runner,
-    num_cores: int = 4,
-    schemes: Sequence[str] = SCHEMES,
-    prefetch: str = "nl_stride",
-    workloads: Sequence[str] | None = None,
-) -> Dict[str, Dict[str, MixMetrics]]:
-    """Run every scheme on homogeneous mixes of each workload.
-
-    Results are cached on the runner so Figs. 6, 7, 8 and 9 share one
-    set of simulations (they are different views of the same runs); the
-    underlying jobs go through the runner's engine, so they are also
-    shared with plan-based figures and the on-disk result cache."""
-    names = list(
-        workloads if workloads is not None else _suite_workloads(runner.scale)
-    )
-    cache_key = (num_cores, tuple(schemes), prefetch, tuple(names))
-    cache = getattr(runner, "_suite_cache", None)
-    if cache is None:
-        cache = {}
-        runner._suite_cache = cache
-    if cache_key in cache:
-        return cache[cache_key]
-    baselines, runs = _suite_jobs(runner.scale, names, num_cores, schemes, prefetch)
-    results = runner.engine.run_jobs(_flat(baselines, runs), experiment_id="suite")
-    out = _suite_metrics(baselines, runs, results)
-    cache[cache_key] = out
-    return out
-
-
 def _geomean_speedup(
     suite: Dict[str, Dict[str, MixMetrics]], scheme: str
 ) -> float:
     return speedup_percent(
         geometric_mean([m[scheme].weighted_speedup for m in suite.values()])
     )
+
+
+def variant_speedup_plan(
+    scale: ExperimentScale,
+    experiment_id: str,
+    title: str,
+    key_column: str,
+    variants: Sequence[Tuple[object, str | PolicySpec]],
+    notes: Sequence[str],
+    workloads: Sequence[str] | None = None,
+) -> ExperimentPlan:
+    """One row per ``(label, policy)`` variant: its geomean 4-core
+    homogeneous speedup over the shared per-workload LRU baselines."""
+    names = list(_suite_workloads(scale) if workloads is None else workloads)
+    baselines = {name: _homo_job(scale, name, 4, "lru") for name in names}
+    runs = {
+        (label, name): _homo_job(scale, name, 4, policy)
+        for label, policy in variants
+        for name in names
+    }
+
+    def assemble(results: JobResults) -> ExperimentResult:
+        rows = []
+        for label, _policy in variants:
+            speedups = [
+                weighted_speedup(
+                    results[runs[(label, name)]].ipcs, results[baselines[name]].ipcs
+                )
+                for name in names
+            ]
+            rows.append([label, speedup_percent(geometric_mean(speedups))])
+        return ExperimentResult(
+            experiment_id=experiment_id,
+            title=title,
+            columns=[key_column, "speedup_pct"],
+            rows=rows,
+            notes=list(notes),
+        )
+
+    return ExperimentPlan(experiment_id, _flat(baselines, runs), assemble)
 
 
 # --- Fig. 1: 16-core homogeneous headline comparison -------------------------
@@ -219,11 +229,6 @@ def fig1_plan(scale: ExperimentScale) -> ExperimentPlan:
         )
 
     return ExperimentPlan("fig1", _flat(baselines, runs), assemble)
-
-
-def fig1(runner: Runner) -> ExperimentResult:
-    """Fig. 1: 16-core homogeneous headline comparison."""
-    return runner.run_plan(fig1_plan(runner.scale))
 
 
 # --- Fig. 2: unused evicted blocks under Glider ----------------------------------
@@ -282,11 +287,6 @@ def fig2_plan(scale: ExperimentScale) -> ExperimentPlan:
     return ExperimentPlan("fig2", _flat(jobs), assemble)
 
 
-def fig2(runner: Runner) -> ExperimentResult:
-    """Fig. 2: unused-evicted-block analysis under Glider."""
-    return runner.run_plan(fig2_plan(runner.scale))
-
-
 # --- Fig. 3: static schemes under two prefetch configurations ---------------------
 
 
@@ -329,11 +329,6 @@ def fig3_plan(scale: ExperimentScale) -> ExperimentPlan:
     return ExperimentPlan("fig3", _flat(baselines, runs), assemble)
 
 
-def fig3(runner: Runner) -> ExperimentResult:
-    """Fig. 3: static schemes under two prefetch configurations."""
-    return runner.run_plan(fig3_plan(runner.scale))
-
-
 # --- Figs. 6-9: the 4-core SPEC homogeneous suite --------------------------------
 #
 # The four figures declare the *same* jobs — the engine's memo/dedup
@@ -367,11 +362,6 @@ def fig6_plan(scale: ExperimentScale) -> ExperimentPlan:
     return ExperimentPlan("fig6", _flat(baselines, runs), assemble)
 
 
-def fig6(runner: Runner) -> ExperimentResult:
-    """Fig. 6: per-workload 4-core homogeneous speedups."""
-    return runner.run_plan(fig6_plan(runner.scale))
-
-
 def fig7_plan(scale: ExperimentScale) -> ExperimentPlan:
     baselines, runs = _suite4_jobs(scale)
 
@@ -403,11 +393,6 @@ def fig7_plan(scale: ExperimentScale) -> ExperimentPlan:
     return ExperimentPlan("fig7", _flat(baselines, runs), assemble)
 
 
-def fig7(runner: Runner) -> ExperimentResult:
-    """Fig. 7: LLC demand miss ratios (same runs as Fig. 6)."""
-    return runner.run_plan(fig7_plan(runner.scale))
-
-
 def fig8_plan(scale: ExperimentScale) -> ExperimentPlan:
     baselines, runs = _suite4_jobs(scale)
 
@@ -434,11 +419,6 @@ def fig8_plan(scale: ExperimentScale) -> ExperimentPlan:
         )
 
     return ExperimentPlan("fig8", _flat(baselines, runs), assemble)
-
-
-def fig8(runner: Runner) -> ExperimentResult:
-    """Fig. 8: effective prefetch hit ratios (same runs as Fig. 6)."""
-    return runner.run_plan(fig8_plan(runner.scale))
 
 
 def fig9_plan(scale: ExperimentScale) -> ExperimentPlan:
@@ -478,11 +458,6 @@ def fig9_plan(scale: ExperimentScale) -> ExperimentPlan:
         )
 
     return ExperimentPlan("fig9", _flat(baselines, runs), assemble)
-
-
-def fig9(runner: Runner) -> ExperimentResult:
-    """Fig. 9: bypass coverage/efficiency, Mockingjay vs CHROME."""
-    return runner.run_plan(fig9_plan(runner.scale))
 
 
 # --- Fig. 10: 4-core heterogeneous mixes ------------------------------------------
@@ -539,11 +514,6 @@ def fig10_plan(scale: ExperimentScale) -> ExperimentPlan:
         )
 
     return ExperimentPlan("fig10", _flat(baselines, runs), assemble)
-
-
-def fig10(runner: Runner) -> ExperimentResult:
-    """Fig. 10: random heterogeneous 4-core mixes, ascending s-curve."""
-    return runner.run_plan(fig10_plan(runner.scale))
 
 
 # --- Fig. 11: scalability ----------------------------------------------------------
@@ -611,11 +581,6 @@ def fig11_plan(scale: ExperimentScale) -> ExperimentPlan:
     return ExperimentPlan("fig11", _flat(*groups), assemble)
 
 
-def fig11(runner: Runner) -> ExperimentResult:
-    """Fig. 11: scalability across 4/8/16 cores, homo + hetero."""
-    return runner.run_plan(fig11_plan(runner.scale))
-
-
 # --- Fig. 12: CHROME vs N-CHROME ---------------------------------------------------
 
 
@@ -655,11 +620,6 @@ def fig12_plan(scale: ExperimentScale) -> ExperimentPlan:
     return ExperimentPlan("fig12", _flat(*groups), assemble)
 
 
-def fig12(runner: Runner) -> ExperimentResult:
-    """Fig. 12: concurrency-feedback ablation (CHROME vs N-CHROME)."""
-    return runner.run_plan(fig12_plan(runner.scale))
-
-
 # --- Fig. 13: GAP (unseen) workloads ----------------------------------------------
 
 
@@ -688,11 +648,6 @@ def fig13_plan(scale: ExperimentScale) -> ExperimentPlan:
     for cores in (4, 8, 16):
         groups.extend(suites[cores])
     return ExperimentPlan("fig13", _flat(*groups), assemble)
-
-
-def fig13(runner: Runner) -> ExperimentResult:
-    """Fig. 13: GAP graph workloads at 4/8/16 cores."""
-    return runner.run_plan(fig13_plan(runner.scale))
 
 
 # --- Fig. 14: alternative prefetching schemes ----------------------------------------
@@ -726,11 +681,6 @@ def fig14_plan(scale: ExperimentScale) -> ExperimentPlan:
     for prefetch in prefetchers:
         groups.extend(suites[prefetch])
     return ExperimentPlan("fig14", _flat(*groups), assemble)
-
-
-def fig14(runner: Runner) -> ExperimentResult:
-    """Fig. 14: stride+streamer and IPCP prefetch configurations."""
-    return runner.run_plan(fig14_plan(runner.scale))
 
 
 # --- Table VII: EQ FIFO size sweep ---------------------------------------------------
@@ -779,53 +729,26 @@ def tab7_plan(scale: ExperimentScale) -> ExperimentPlan:
     return ExperimentPlan("tab7", _flat(baselines, runs), assemble)
 
 
-def tab7(runner: Runner) -> ExperimentResult:
-    """Table VII: EQ FIFO depth sweep (speedup, UPKSA, overhead)."""
-    return runner.run_plan(tab7_plan(runner.scale))
-
-
 # --- Fig. 15: feature ablation -------------------------------------------------------
 
 
 def fig15_plan(scale: ExperimentScale) -> ExperimentPlan:
-    workloads = _suite_workloads(scale)
     variants = [
         ("pc_only", ("pc_sig",)),
         ("pn_only", ("page",)),
         ("pc+pn", ("pc_sig", "page")),
     ]
-    baselines = {name: _homo_job(scale, name, 4, "lru") for name in workloads}
-    runs = {
-        (label, name): _homo_job(
-            scale, name, 4, PolicySpec.chrome_variant(features=features)
-        )
-        for label, features in variants
-        for name in workloads
-    }
-
-    def assemble(results: JobResults) -> ExperimentResult:
-        rows = []
-        for label, _features in variants:
-            speedups = []
-            for name in workloads:
-                base = results[baselines[name]]
-                result = results[runs[(label, name)]]
-                speedups.append(weighted_speedup(result.ipcs, base.ipcs))
-            rows.append([label, speedup_percent(geometric_mean(speedups))])
-        return ExperimentResult(
-            experiment_id="fig15",
-            title="CHROME feature ablation, 4-core SPEC homogeneous (%)",
-            columns=["features", "speedup_pct"],
-            rows=rows,
-            notes=["paper: PC-only 7.2%, PN-only 3.6%, PC+PN 9.2%"],
-        )
-
-    return ExperimentPlan("fig15", _flat(baselines, runs), assemble)
-
-
-def fig15(runner: Runner) -> ExperimentResult:
-    """Fig. 15: state-feature ablation (PC / PN / PC+PN)."""
-    return runner.run_plan(fig15_plan(runner.scale))
+    return variant_speedup_plan(
+        scale,
+        "fig15",
+        "CHROME feature ablation, 4-core SPEC homogeneous (%)",
+        "features",
+        [
+            (label, PolicySpec.chrome_variant(features=features))
+            for label, features in variants
+        ],
+        notes=["paper: PC-only 7.2%, PN-only 3.6%, PC+PN 9.2%"],
+    )
 
 
 # --- Fig. 16: hyper-parameter sensitivity ---------------------------------------------
@@ -870,11 +793,6 @@ def fig16_plan(scale: ExperimentScale) -> ExperimentPlan:
     return ExperimentPlan("fig16", _flat(baselines, runs), assemble)
 
 
-def fig16(runner: Runner) -> ExperimentResult:
-    """Fig. 16: hyper-parameter sensitivity sweeps."""
-    return runner.run_plan(fig16_plan(runner.scale))
-
-
 # --- Tables III & IV: storage overhead (analytic — zero simulation jobs) -------------
 
 
@@ -902,11 +820,6 @@ def tab3_plan(scale: ExperimentScale) -> ExperimentPlan:
     return ExperimentPlan("tab3", (), assemble)
 
 
-def tab3(runner: Runner) -> ExperimentResult:
-    """Table III: CHROME storage budget (analytic, exact)."""
-    return runner.run_plan(tab3_plan(runner.scale))
-
-
 def tab4_plan(scale: ExperimentScale) -> ExperimentPlan:
     def assemble(results: JobResults) -> ExperimentResult:
         rows = [
@@ -930,48 +843,25 @@ def tab4_plan(scale: ExperimentScale) -> ExperimentPlan:
     return ExperimentPlan("tab4", (), assemble)
 
 
-def tab4(runner: Runner) -> ExperimentResult:
-    """Table IV: storage overhead across schemes (analytic)."""
-    return runner.run_plan(tab4_plan(runner.scale))
-
-
 # --- registration -------------------------------------------------------------------
 
-for _id, _fn, _plan in (
-    ("fig1", fig1, fig1_plan),
-    ("fig2", fig2, fig2_plan),
-    ("fig3", fig3, fig3_plan),
-    ("fig6", fig6, fig6_plan),
-    ("fig7", fig7, fig7_plan),
-    ("fig8", fig8, fig8_plan),
-    ("fig9", fig9, fig9_plan),
-    ("fig10", fig10, fig10_plan),
-    ("fig11", fig11, fig11_plan),
-    ("fig12", fig12, fig12_plan),
-    ("fig13", fig13, fig13_plan),
-    ("fig14", fig14, fig14_plan),
-    ("fig15", fig15, fig15_plan),
-    ("fig16", fig16, fig16_plan),
-    ("tab3", tab3, tab3_plan),
-    ("tab4", tab4, tab4_plan),
-    ("tab7", tab7, tab7_plan),
+for _id, _plan in (
+    ("fig1", fig1_plan),
+    ("fig2", fig2_plan),
+    ("fig3", fig3_plan),
+    ("fig6", fig6_plan),
+    ("fig7", fig7_plan),
+    ("fig8", fig8_plan),
+    ("fig9", fig9_plan),
+    ("fig10", fig10_plan),
+    ("fig11", fig11_plan),
+    ("fig12", fig12_plan),
+    ("fig13", fig13_plan),
+    ("fig14", fig14_plan),
+    ("fig15", fig15_plan),
+    ("fig16", fig16_plan),
+    ("tab3", tab3_plan),
+    ("tab4", tab4_plan),
+    ("tab7", tab7_plan),
 ):
-    register_experiment(_id, _fn, plan=_plan)
-
-
-def _register_ablations() -> None:
-    """Deprecated shim: ablations now register eagerly when
-    :mod:`repro.experiments` (or this module's package) is imported."""
-    from . import ablations  # noqa: F401  (import triggers registration)
-
-
-def run_experiment(experiment_id: str, runner: Runner | None = None) -> ExperimentResult:
-    """Regenerate one paper artifact (or ablation) by id."""
-    _register_ablations()
-    try:
-        fn = EXPERIMENTS[experiment_id]
-    except KeyError:
-        raise KeyError(
-            f"unknown experiment {experiment_id!r}; available: {sorted(EXPERIMENTS)}"
-        ) from None
-    return fn(runner or Runner())
+    register_experiment(_id, _plan)

@@ -1,62 +1,45 @@
 """Public experiment registry.
 
-Experiments register themselves here at import time (importing
-:mod:`repro.experiments` is enough — no private bootstrap calls), and
-the CLI, benchmark harness and library users all go through the same
-three entry points:
+Every experiment id maps to exactly one plan builder: a function from
+:class:`~repro.experiments.runner.ExperimentScale` to an
+:class:`~repro.experiments.engine.ExperimentPlan`.  Experiments register
+themselves here at import time (importing :mod:`repro.experiments` is
+enough — no private bootstrap calls), and the CLI, benchmark harness
+and library users all go through the same entry points:
 
-* :func:`register_experiment` — add (or override) an experiment by id,
-  optionally with a declarative :class:`~repro.experiments.engine.ExperimentPlan`
-  builder so the parallel engine can schedule it;
+* :func:`register_experiment` — add (or override) an experiment by id;
 * :func:`available_experiments` — sorted ids;
-* :func:`get_experiment` / :func:`get_plan` — look up the runner-based
-  callable and (when declared) the plan builder.
+* :func:`get_plan` — look up an id's plan builder;
+* :func:`run_experiment` — build an id's plan and run it on an engine.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .engine import ExperimentPlan
-    from .report import ExperimentResult
-    from .runner import ExperimentScale, Runner
+from .engine import Engine, ExperimentPlan
+from .report import ExperimentResult
+from .runner import ExperimentScale
 
-ExperimentFn = Callable[["Runner"], "ExperimentResult"]
-PlanFn = Callable[["ExperimentScale"], "ExperimentPlan"]
+PlanFn = Callable[[ExperimentScale], ExperimentPlan]
 
-#: id -> runner-based implementation (the historical interface).
-EXPERIMENTS: Dict[str, ExperimentFn] = {}
-
-#: id -> plan builder, for experiments the parallel engine can schedule.
+#: id -> plan builder
 PLANS: Dict[str, PlanFn] = {}
 
 
-def register_experiment(
-    experiment_id: str,
-    fn: ExperimentFn,
-    *,
-    plan: Optional[PlanFn] = None,
-    overwrite: bool = True,
-) -> None:
-    """Register an experiment id (last registration wins by default)."""
-    if not overwrite and experiment_id in EXPERIMENTS:
-        return
-    EXPERIMENTS[experiment_id] = fn
-    if plan is not None:
-        PLANS[experiment_id] = plan
-    elif overwrite:
-        PLANS.pop(experiment_id, None)
+def register_experiment(experiment_id: str, plan: PlanFn) -> None:
+    """Register an experiment id (last registration wins)."""
+    PLANS[experiment_id] = plan
 
 
 def available_experiments() -> List[str]:
     """Sorted ids of every registered experiment."""
-    return sorted(EXPERIMENTS)
+    return sorted(PLANS)
 
 
-def get_experiment(experiment_id: str) -> ExperimentFn:
+def get_plan(experiment_id: str) -> PlanFn:
     try:
-        return EXPERIMENTS[experiment_id]
+        return PLANS[experiment_id]
     except KeyError:
         raise KeyError(
             f"unknown experiment {experiment_id!r}; "
@@ -64,6 +47,12 @@ def get_experiment(experiment_id: str) -> ExperimentFn:
         ) from None
 
 
-def get_plan(experiment_id: str) -> Optional[PlanFn]:
-    """The plan builder for an id, or None for runner-only experiments."""
-    return PLANS.get(experiment_id)
+def run_experiment(
+    experiment_id: str,
+    scale: Optional[ExperimentScale] = None,
+    engine: Optional[Engine] = None,
+) -> ExperimentResult:
+    """Regenerate one experiment by id on ``engine`` (serial by default)
+    at ``scale`` (default: :meth:`ExperimentScale.from_env`)."""
+    plan = get_plan(experiment_id)(scale or ExperimentScale.from_env())
+    return (engine or Engine(workers=1)).run_plan(plan)

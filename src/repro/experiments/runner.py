@@ -1,9 +1,10 @@
-"""Experiment runner: (mix, policy, prefetch config) -> metrics.
+"""Run sizes and LLC policy construction shared by every experiment.
 
-The runner owns the bookkeeping every figure needs: building the
-simulated machine, running the LRU baseline for normalization (cached
-per mix so comparisons share one baseline run), and summarizing results
-into :class:`~repro.experiments.metrics.MixMetrics`.
+Experiments are plans of :class:`~repro.experiments.jobspec.SimJob`
+specs executed by the :class:`~repro.experiments.engine.Engine`; this
+module holds what those specs are built from: :class:`ExperimentScale`
+(run size) and :func:`resolve_policy` / :func:`chrome_with` (the
+scale-aware policy constructors).
 
 Run sizes are governed by :class:`ExperimentScale`; the defaults are a
 laptop-friendly reduction of the paper's 50M-warmup + 200M-instruction
@@ -20,16 +21,12 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from ..core.chrome import ChromePolicy
+from ..core.chrome import ChromePolicy, make_nchrome_policy
 from ..core.config import ChromeConfig
-from ..sim.multicore import MultiCoreSystem, SystemConfig, SystemResult
 from ..sim.replacement import make_policy
 from ..sim.replacement.base import ReplacementPolicy
-from ..traces.mixes import heterogeneous_mix, homogeneous_mix
-from ..traces.trace import Trace
-from .metrics import MixMetrics, summarize
 
 
 def _env_float(name: str, default: float, minimum_exclusive: float = 0.0) -> float:
@@ -115,17 +112,12 @@ class ExperimentScale:
         return list(names)
 
 
-PolicyFactory = Callable[[], ReplacementPolicy]
-
 #: sampled training sets at the paper's full machine scale (Sec. V-D)
 SAMPLED_SETS_FULL_SCALE = 64
 
 
-def resolve_policy(
-    policy: str | PolicyFactory | ReplacementPolicy,
-    machine_scale: float = 1.0,
-) -> ReplacementPolicy:
-    """Accept a registry name, factory, or ready policy instance.
+def resolve_policy(name: str, machine_scale: float = 1.0) -> ReplacementPolicy:
+    """A fresh LLC policy by registry name (``lru``, ``chrome``, ...).
 
     When the machine is scaled down, every sampling-trained scheme
     (Hawkeye, Glider, Mockingjay, CARE, CHROME) gets its sampled-set
@@ -136,22 +128,12 @@ def resolve_policy(
     hardware-overhead tables (III, IV, VII) always use the full-scale
     64-set geometry.
     """
-    if isinstance(policy, ReplacementPolicy):
-        return policy
-    if not isinstance(policy, str):
-        return policy()
     sampled = scaled_sampled_sets(machine_scale)
-    if policy == "chrome":
-        from dataclasses import replace as _replace
-
-        return ChromePolicy(_replace(ChromeConfig(), sampled_sets=sampled))
-    if policy == "n-chrome":
-        from dataclasses import replace as _replace
-
-        from ..core.chrome import make_nchrome_policy
-
-        return make_nchrome_policy(_replace(ChromeConfig(), sampled_sets=sampled))
-    instance = make_policy(policy)
+    if name == "chrome":
+        return ChromePolicy(replace(ChromeConfig(), sampled_sets=sampled))
+    if name == "n-chrome":
+        return make_nchrome_policy(replace(ChromeConfig(), sampled_sets=sampled))
+    instance = make_policy(name)
     if hasattr(instance, "_sampled_target"):
         instance._sampled_target = sampled
     return instance
@@ -162,148 +144,6 @@ def scaled_sampled_sets(machine_scale: float) -> int:
     if machine_scale >= 1.0:
         return SAMPLED_SETS_FULL_SCALE
     return int(SAMPLED_SETS_FULL_SCALE / machine_scale)
-
-
-class Runner:
-    """Runs simulations and caches LRU baselines per mix.
-
-    Every Runner owns an :class:`~repro.experiments.engine.Engine`
-    (serial by default; pass a shared multi-worker engine to
-    parallelize).  String-named policy runs on mixes built by this
-    runner route through the engine, so figures, ablations and ad-hoc
-    comparisons all share one pool of completed simulations.
-    """
-
-    def __init__(
-        self,
-        scale: Optional[ExperimentScale] = None,
-        engine: Optional[object] = None,
-    ) -> None:
-        self.scale = scale or ExperimentScale.from_env()
-        self._engine = engine
-        self._baseline_cache: Dict[Tuple, SystemResult] = {}
-
-    @property
-    def engine(self):
-        if self._engine is None:
-            from .engine import Engine  # local import breaks the cycle
-
-            self._engine = Engine(workers=1)
-        return self._engine
-
-    def run_plan(self, plan):
-        """Execute a declarative experiment plan on this runner's engine."""
-        return self.engine.run_plan(plan)
-
-    def _job_from_mix_key(self, mix_key: Tuple, policy: str, prefetch: str):
-        """Rebuild the SimJob equivalent of a make_* mix key, if possible."""
-        from .jobspec import MixSpec, job_for
-
-        try:
-            if mix_key[0] == "homo":
-                _, name, num_cores, seed = mix_key
-                mix = MixSpec.homogeneous(name, num_cores, seed=seed)
-            elif mix_key[0] == "hetero":
-                _, names, seed = mix_key
-                mix = MixSpec.heterogeneous(tuple(names), seed=seed)
-            else:
-                return None
-        except (ValueError, TypeError, IndexError):
-            return None
-        return job_for(self.scale, mix, policy, prefetch=prefetch)
-
-    # --- mix construction -------------------------------------------------------
-
-    def make_homogeneous(
-        self, name: str, num_cores: int, seed: int = 0
-    ) -> Tuple[Tuple, List[Trace]]:
-        total = self.scale.accesses_per_core + self.scale.warmup_per_core
-        traces = homogeneous_mix(
-            name, num_cores, total, seed=seed, scale=self.scale.machine_scale
-        )
-        key = ("homo", name, num_cores, seed)
-        return key, traces
-
-    def make_heterogeneous(
-        self, names: Sequence[str], seed: int = 0
-    ) -> Tuple[Tuple, List[Trace]]:
-        total = self.scale.accesses_per_core + self.scale.warmup_per_core
-        traces = heterogeneous_mix(
-            names, total, seed=seed, scale=self.scale.machine_scale
-        )
-        key = ("hetero", tuple(names), seed)
-        return key, traces
-
-    # --- execution ------------------------------------------------------------------
-
-    def run(
-        self,
-        policy: str | PolicyFactory | ReplacementPolicy,
-        traces: Sequence[Trace],
-        prefetch: str = "nl_stride",
-        num_cores: Optional[int] = None,
-    ) -> SystemResult:
-        """One simulation of ``traces`` under ``policy``."""
-        cores = num_cores or len(traces)
-        config = SystemConfig(num_cores=cores, scale=self.scale.machine_scale)
-        system = MultiCoreSystem(
-            config,
-            llc_policy=resolve_policy(policy, self.scale.machine_scale),
-            prefetch_config=prefetch,
-        )
-        return system.run(
-            traces,
-            max_accesses_per_core=self.scale.accesses_per_core
-            + self.scale.warmup_per_core,
-            warmup_accesses=self.scale.warmup_per_core,
-        )
-
-    def baseline(
-        self, mix_key: Tuple, traces: Sequence[Trace], prefetch: str = "nl_stride"
-    ) -> SystemResult:
-        """The LRU run for a mix (cached — every scheme shares it)."""
-        cache_key = (mix_key, prefetch, self.scale)
-        result = self._baseline_cache.get(cache_key)
-        if result is None:
-            job = self._job_from_mix_key(mix_key, "lru", prefetch)
-            if job is not None:
-                # Through the engine: shared with figure plans and the
-                # on-disk result cache, not just this runner.
-                result = self.engine.run_jobs([job], experiment_id="baseline")[job]
-            else:
-                result = self.run("lru", traces, prefetch=prefetch)
-            self._baseline_cache[cache_key] = result
-        return result
-
-    def compare(
-        self,
-        policies: Sequence[str | PolicyFactory | ReplacementPolicy],
-        mix_key: Tuple,
-        traces: Sequence[Trace],
-        prefetch: str = "nl_stride",
-    ) -> Dict[str, MixMetrics]:
-        """Run each policy on the mix; metrics normalized to shared LRU."""
-        base = self.baseline(mix_key, traces, prefetch=prefetch)
-        named = [p for p in policies if isinstance(p, str)]
-        jobs = {}
-        for name in named:
-            job = self._job_from_mix_key(mix_key, name, prefetch)
-            if job is not None:
-                jobs[name] = job
-        results = (
-            self.engine.run_jobs(list(jobs.values()), experiment_id="compare")
-            if jobs
-            else {}
-        )
-        out: Dict[str, MixMetrics] = {}
-        for policy in policies:
-            if isinstance(policy, str) and policy in jobs:
-                result = results[jobs[policy]]
-            else:
-                instance = resolve_policy(policy, self.scale.machine_scale)
-                result = self.run(instance, traces, prefetch=prefetch)
-            out[result.policy_name] = summarize(result, base)
-        return out
 
 
 def chrome_with(

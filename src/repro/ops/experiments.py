@@ -166,11 +166,4 @@ def serve_ops_plan(scale: ExperimentScale) -> ExperimentPlan:
     )
 
 
-def _register() -> None:
-    def runner_fn(runner):
-        return runner.run_plan(serve_ops_plan(runner.scale))
-
-    register_experiment("serve_ops", runner_fn, plan=serve_ops_plan)
-
-
-_register()
+register_experiment("serve_ops", serve_ops_plan)

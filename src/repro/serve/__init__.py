@@ -56,7 +56,6 @@ from .service import (
     drive_requests,
     replay_requests,
     run_configured,
-    run_service,
 )
 from .store import CachedObject, ObjectStore
 from .workloads import (
@@ -114,5 +113,4 @@ __all__ = [
     "register_serve_policy",
     "replay_requests",
     "run_configured",
-    "run_service",
 ]

@@ -1,10 +1,10 @@
 """The unified serve runtime configuration: one frozen spec per service.
 
-Before this module the serving layer's knobs were scattered across the
-:class:`~repro.serve.service.CacheService` / ``run_service`` signatures
-(latency model, fault model, resilience policy, capacity, warmup,
-client count, ...) and re-flattened into ``ServeJob``'s parallel
-``*_params`` tuples.  :class:`ServiceConfig` collapses that surface
+Before this module the serving layer's knobs were scattered across
+the :class:`~repro.serve.service.CacheService` signature and a kwargs
+run function (latency model, fault model, resilience policy, capacity,
+warmup, client count, ...) and re-flattened into ``ServeJob``'s
+parallel ``*_params`` tuples.  :class:`ServiceConfig` collapses that surface
 into a single frozen dataclass:
 
 * **one object describes one service end to end** — store geometry,
@@ -19,10 +19,10 @@ into a single frozen dataclass:
   job dataclasses carry, and :meth:`ServiceConfig.for_shard` derives a
   per-shard variant (fresh policy/fault seeds, same shape) so a
   cluster builds N shards from one config;
-* **the old kwargs keep working** — ``run_service`` and
-  ``CacheService(...)`` accept their historical parameters unchanged
-  (thin shims over this module), so the committed serve goldens stay
-  byte-identical.
+* **one way to run** — :func:`~repro.serve.service.run_configured`
+  takes ``(requests, config)`` (plus an optional pre-built policy for
+  warm starts).  ``CacheService(...)`` still accepts its individual
+  kwargs, which win over the config's fields when given.
 
 :class:`LatencyConfig` moved here from :mod:`repro.serve.service`
 (which re-exports it) so the config module has no import cycle with

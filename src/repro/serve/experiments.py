@@ -358,13 +358,5 @@ SERVE_PLANS = {
 }
 
 
-def _register() -> None:
-    for experiment_id, plan_builder in SERVE_PLANS.items():
-
-        def runner_fn(runner, _builder=plan_builder):
-            return runner.run_plan(_builder(runner.scale))
-
-        register_experiment(experiment_id, runner_fn, plan=plan_builder)
-
-
-_register()
+for _experiment_id, _plan in SERVE_PLANS.items():
+    register_experiment(_experiment_id, _plan)

@@ -589,38 +589,3 @@ def run_configured(
     service.obs_summary(metrics)
     return metrics
 
-
-def run_service(
-    requests: Sequence[Request],
-    policy: ServePolicy,
-    capacity_bytes: int,
-    num_segments: int,
-    *,
-    num_clients: int = 8,
-    warmup_requests: int = 0,
-    latency: Optional[LatencyConfig] = None,
-    checkpoint_every: int = 0,
-    workload_name: str = "",
-    faults: Optional[FaultConfig] = None,
-    resilience: Optional[ResilienceConfig] = None,
-    obs=None,
-) -> ServeMetrics:
-    """Legacy kwargs surface — a thin shim over :func:`run_configured`.
-
-    Deprecated in favor of building a :class:`ServiceConfig` and
-    calling :func:`run_configured`; kept so existing callers (and the
-    committed goldens they pin) keep working unchanged.
-    """
-    config = ServiceConfig(
-        capacity_bytes=capacity_bytes,
-        num_segments=num_segments,
-        policy=policy.name,
-        num_clients=num_clients,
-        warmup_requests=warmup_requests,
-        checkpoint_every=checkpoint_every,
-        workload_name=workload_name,
-        latency=latency,
-        faults=faults,
-        resilience=resilience,
-    )
-    return run_configured(requests, config, policy=policy, obs=obs)

@@ -94,19 +94,6 @@ class ObjectStore:
         """Subscribe to evictions; listeners fire in registration order."""
         self._evict_listeners.append(listener)
 
-    @property
-    def evict_listener(self) -> Optional[Callable[[CachedObject], None]]:
-        """Legacy single-listener view (first subscriber, if any)."""
-        return self._evict_listeners[0] if self._evict_listeners else None
-
-    @evict_listener.setter
-    def evict_listener(
-        self, listener: Optional[Callable[[CachedObject], None]]
-    ) -> None:
-        # Deprecated assignment form: replaces the whole subscriber
-        # list, matching the old clobbering semantics exactly.
-        self._evict_listeners = [] if listener is None else [listener]
-
     # --- indexing ----------------------------------------------------------------
 
     def segment_of(self, key: int) -> int:

@@ -1,16 +1,22 @@
 """Tests for the beyond-the-paper ablation experiments."""
 
+import json
+from pathlib import Path
+
 import pytest
 
+from repro.experiments import (
+    Engine,
+    ExperimentScale,
+    available_experiments,
+    get_plan,
+    run_experiment,
+)
 from repro.experiments.ablations import (
     ABLATIONS,
     BypassFirstChromePolicy,
     NoBypassChromePolicy,
-    abl_sampling,
-    extended_baselines,
 )
-from repro.experiments.figures import EXPERIMENTS, run_experiment
-from repro.experiments.runner import ExperimentScale, Runner
 from repro.core.config import ACTION_BYPASS
 from repro.sim.access import DEMAND, AccessInfo
 from repro.sim.cache import Cache
@@ -23,10 +29,14 @@ TINY = ExperimentScale(
     hetero_mixes=2,
 )
 
+#: every ablation's rows at two small scales, captured from the
+#: inline-simulation implementation the plans replaced
+GOLDEN_PATH = Path(__file__).parent / "golden" / "ablations.json"
+
 
 @pytest.fixture(scope="module")
-def runner():
-    return Runner(TINY)
+def engine():
+    return Engine(workers=1)
 
 
 def _info(block):
@@ -49,25 +59,36 @@ def test_bypass_first_variant_prefers_bypass_cold():
     assert bypasses > 16  # cold states choose bypass
 
 
-def test_ablation_registry_reachable_via_run_experiment(runner):
-    result = run_experiment("abl_tiebreak", runner)
+def test_ablation_registry_reachable_via_run_experiment(engine):
+    result = run_experiment("abl_tiebreak", TINY, engine)
     assert result.experiment_id == "abl_tiebreak"
     assert len(result.rows) == 2
 
 
-def test_abl_sampling_sweeps_densities(runner):
-    result = abl_sampling(runner)
+def test_abl_sampling_sweeps_densities(engine):
+    result = engine.run_plan(get_plan("abl_sampling")(TINY))
     densities = result.column("sampled_sets")
     assert densities == sorted(densities)
     assert 64 in densities
 
 
-def test_extended_baselines_structure(runner):
-    result = extended_baselines(runner)
+def test_extended_baselines_structure(engine):
+    result = engine.run_plan(get_plan("extended_baselines")(TINY))
     assert set(result.column("scheme")) == {"random", "srrip", "drrip", "ship++", "chrome"}
 
 
 def test_all_ablations_registered():
-    run_experiment("abl_bypass", Runner(TINY))  # triggers registration
-    for name in ABLATIONS:
-        assert name in EXPERIMENTS
+    for name, plan in ABLATIONS.items():
+        assert name in available_experiments()
+        assert get_plan(name) is plan
+
+
+@pytest.mark.parametrize("scale_name", ["tiny", "short"])
+def test_ablation_tables_match_pinned_rows(scale_name):
+    pinned = json.loads(GOLDEN_PATH.read_text())[scale_name]
+    scale = ExperimentScale(**pinned["scale"])
+    engine = Engine(workers=1)
+    for experiment_id, rows in pinned["tables"].items():
+        got = run_experiment(experiment_id, scale, engine).rows
+        # JSON round trip: tuples become lists, floats keep every digit
+        assert json.loads(json.dumps(got)) == rows, experiment_id

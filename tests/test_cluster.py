@@ -19,7 +19,6 @@ from repro.core.config import ChromeConfig
 from repro.serve.agent import ServeAgent
 from repro.serve.config import ServiceConfig
 from repro.serve.service import run_configured
-from repro.serve.store import ObjectStore
 from repro.serve.workloads import build_workload
 
 # --- ring ---------------------------------------------------------------------
@@ -153,26 +152,6 @@ def test_object_store_supports_multiple_evict_listeners():
         if not store.lookup(req):
             store.admit(req)
     assert seen_a and seen_a == seen_b
-
-
-def test_evict_listener_property_keeps_single_subscriber_semantics():
-    config = ServiceConfig.from_params(
-        capacity_bytes=1 << 16, num_segments=4, policy="lru", seed=0
-    )
-    store = config.build_store()
-    assert store.evict_listener is None
-    first, second = [], []
-    store.evict_listener = first.append
-    store.add_evict_listener(second.append)
-    assert store.evict_listener is not None
-    # the property setter replaces the whole subscriber list (the old
-    # single-listener clobbering contract)
-    store.evict_listener = second.append
-    assert isinstance(store, ObjectStore)
-    for req in build_workload("zipf_scan", 800, seed=2):
-        if not store.lookup(req):
-            store.admit(req)
-    assert second and not first
 
 
 # --- federation ---------------------------------------------------------------

@@ -6,20 +6,28 @@ import pytest
 from repro.cli import main
 from repro.experiments import (
     Engine,
+    ExperimentPlan,
+    ExperimentResult,
     ExperimentScale,
     MixSpec,
     PolicySpec,
     ResultCache,
-    Runner,
     available_experiments,
     execute_job,
     get_plan,
     job_fingerprint,
     job_for,
     register_experiment,
+    run_experiment,
 )
-from repro.experiments.figures import fig6_plan, fig10_plan, tab3_plan
-from repro.experiments.registry import EXPERIMENTS, PLANS
+from repro.experiments.ablations import ABLATIONS
+from repro.experiments.figures import (
+    _suite_workloads,
+    fig6_plan,
+    fig10_plan,
+    tab3_plan,
+)
+from repro.experiments.registry import PLANS
 
 TINY = ExperimentScale(
     machine_scale=1 / 64,
@@ -278,40 +286,88 @@ def test_ablations_registered_eagerly():
 
 
 def test_every_paper_figure_has_a_plan():
-    for experiment_id in EXPERIMENTS:
+    for experiment_id in available_experiments():
         if experiment_id.startswith(("fig", "tab")):
             assert get_plan(experiment_id) is not None, experiment_id
 
 
 def test_register_experiment_roundtrip():
-    marker = object()
+    job = _job()
 
-    def custom(runner):
-        return marker
+    def custom_plan(scale):
+        return ExperimentPlan(
+            "custom_test_exp",
+            (job,),
+            lambda results: ExperimentResult(
+                "custom_test_exp", "custom", ["policy"], [[results[job].policy_name]]
+            ),
+        )
 
-    register_experiment("custom_test_exp", custom)
+    register_experiment("custom_test_exp", custom_plan)
     try:
         assert "custom_test_exp" in available_experiments()
-        from repro.experiments import run_experiment
-
-        assert run_experiment("custom_test_exp", Runner(MICRO)) is marker
+        assert get_plan("custom_test_exp") is custom_plan
+        engine = Engine(workers=1)
+        assert run_experiment("custom_test_exp", MICRO, engine).rows == [["lru"]]
+        assert engine.stats.executed == 1
     finally:
-        EXPERIMENTS.pop("custom_test_exp", None)
         PLANS.pop("custom_test_exp", None)
 
 
-# --- runner/engine sharing ---------------------------------------------------
+# --- plans sharing one engine ------------------------------------------------
 
 
-def test_runner_baseline_goes_through_engine():
-    runner = Runner(MICRO)
-    key, traces = runner.make_homogeneous("hmmer06", 2)
-    runner.baseline(key, traces)
-    assert runner.engine.stats.executed == 1
-    # The figure plan for the same (mix, lru) job is now a memo hit.
-    job = job_for(MICRO, MixSpec.homogeneous("hmmer06", 2), "lru")
-    runner.engine.run_jobs([job])
-    assert runner.engine.stats.memo_hits == 1
+def test_plan_baseline_goes_through_engine():
+    engine = Engine(workers=1)
+    run_experiment("abl_bypass", MICRO, engine)
+    # The LRU baseline the ablation declared is the job every 4-core
+    # figure shares, so it is now a memo hit.
+    (name,) = _suite_workloads(MICRO)
+    hits = engine.stats.memo_hits
+    engine.run_jobs([job_for(MICRO, MixSpec.homogeneous(name, 4), "lru")])
+    assert engine.stats.memo_hits == hits + 1
+
+
+def test_ablations_reuse_the_fig6_chrome_suite():
+    engine = Engine(workers=1)
+    fig6 = set(fig6_plan(TINY).jobs)
+    engine.run_plan(fig6_plan(TINY))
+    for experiment_id in ("abl_bypass", "abl_prefetch_rewards", "abl_tiebreak"):
+        plan = get_plan(experiment_id)(TINY)
+        chrome = {job for job in plan.jobs if job.policy == PolicySpec.named("chrome")}
+        assert len(chrome) == TINY.workload_limit and chrome <= fig6
+        executed, memo = engine.stats.executed, engine.stats.memo_hits
+        engine.run_plan(plan)
+        # Only the variant's own jobs simulate; CHROME and LRU are memo hits.
+        assert engine.stats.executed - executed == len(set(plan.jobs) - fig6)
+        assert engine.stats.memo_hits - memo == len(set(plan.jobs) & fig6)
+
+
+def test_ablations_warm_cache_hits_every_job(tmp_path):
+    cache_dir = str(tmp_path)
+    for experiment_id in ABLATIONS:
+        cold = run_experiment(experiment_id, MICRO, Engine(1, cache_dir))
+        warm_engine = Engine(1, cache_dir)
+        warm = run_experiment(experiment_id, MICRO, warm_engine)
+        assert warm == cold, experiment_id
+        assert warm_engine.stats.executed == 0, experiment_id
+        # CHROME variants included: every declared job is a disk hit.
+        plan_jobs = get_plan(experiment_id)(MICRO).jobs
+        assert warm_engine.stats.disk_hits == len(plan_jobs), experiment_id
+
+
+def test_ablations_bit_identical_serial_vs_parallel():
+    serial, parallel = Engine(workers=1), Engine(workers=2)
+    for experiment_id in ABLATIONS:
+        assert run_experiment(experiment_id, MICRO, serial) == run_experiment(
+            experiment_id, MICRO, parallel
+        ), experiment_id
+    # Tables at this scale can tie; the raw per-job results must match too.
+    jobs = [job for plan in ABLATIONS.values() for job in plan(MICRO).jobs]
+    ours, theirs = serial.run_jobs(jobs), parallel.run_jobs(jobs)
+    for job, result in ours.items():
+        assert result.ipcs == theirs[job].ipcs, job.label
+        assert result.llc_stats == theirs[job].llc_stats, job.label
 
 
 def test_limit_workloads_even_spread_includes_first():

@@ -1,14 +1,20 @@
-"""Tests for the experiment runner (scaling, caching, comparisons)."""
+"""Tests for run-size scaling and scale-aware policy construction."""
 
 import pytest
 
+from repro.experiments import (
+    Engine,
+    MixSpec,
+    job_fingerprint,
+    job_for,
+    summarize,
+)
 from repro.experiments.runner import (
     ExperimentScale,
-    Runner,
     chrome_with,
     resolve_policy,
+    scaled_sampled_sets,
 )
-from repro.sim.replacement.lru import LRUPolicy
 
 FAST = ExperimentScale(
     machine_scale=1 / 64,
@@ -93,35 +99,22 @@ def test_limit_workloads_zero_keeps_all():
     assert scale.limit_workloads(names) == names
 
 
-def test_resolve_policy_accepts_all_forms():
+def test_resolve_policy_builds_by_name():
     assert resolve_policy("lru").name == "lru"
-    assert resolve_policy(LRUPolicy).name == "lru"
-    instance = LRUPolicy()
-    assert resolve_policy(instance) is instance
-
-
-def test_runner_run_returns_result():
-    runner = Runner(FAST)
-    _, traces = runner.make_homogeneous("hmmer06", 2)
-    result = runner.run("lru", traces)
-    assert result.policy_name == "lru"
-    assert len(result.cores) == 2
-
-
-def test_baseline_is_cached():
-    runner = Runner(FAST)
-    key, traces = runner.make_homogeneous("hmmer06", 2)
-    first = runner.baseline(key, traces)
-    second = runner.baseline(key, traces)
-    assert first is second
+    chrome = resolve_policy("chrome", 1 / 16)
+    assert chrome.config.sampled_sets == scaled_sampled_sets(1 / 16)
+    assert resolve_policy("chrome", 1 / 16) is not chrome  # always fresh
+    with pytest.raises(KeyError, match="unknown policy"):
+        resolve_policy("nope")
 
 
 def test_compare_normalizes_to_lru():
-    runner = Runner(FAST)
-    key, traces = runner.make_homogeneous("hmmer06", 2)
-    metrics = runner.compare(["lru", "chrome"], key, traces)
-    assert metrics["lru"].weighted_speedup == pytest.approx(1.0)
-    assert "chrome" in metrics
+    mix = MixSpec.homogeneous("hmmer06", 2)
+    jobs = {name: job_for(FAST, mix, name) for name in ("lru", "chrome")}
+    results = Engine(workers=1).run_jobs(list(jobs.values()))
+    base = results[jobs["lru"]]
+    assert summarize(base, base).weighted_speedup == pytest.approx(1.0)
+    assert summarize(results[jobs["chrome"]], base).scheme == "chrome"
 
 
 def test_chrome_with_overrides():
@@ -138,7 +131,7 @@ def test_chrome_with_defaults():
 
 
 def test_heterogeneous_mix_key_distinct_per_names():
-    runner = Runner(FAST)
-    k1, _ = runner.make_heterogeneous(["hmmer06", "mcf06"])
-    k2, _ = runner.make_heterogeneous(["mcf06", "hmmer06"])
-    assert k1 != k2
+    a = job_for(FAST, MixSpec.heterogeneous(("hmmer06", "mcf06")), "lru")
+    b = job_for(FAST, MixSpec.heterogeneous(("mcf06", "hmmer06")), "lru")
+    assert a != b
+    assert job_fingerprint(a) != job_fingerprint(b)

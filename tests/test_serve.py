@@ -2,6 +2,7 @@
 agent facade, and the concurrent service's determinism guarantees."""
 
 import asyncio
+from dataclasses import replace
 
 import pytest
 
@@ -10,6 +11,7 @@ from repro.serve.agent import (
     ChromeServePolicy,
     ServeFeatureExtractor,
 )
+from repro.serve.config import ServiceConfig
 from repro.serve.metrics import percentile
 from repro.serve.policies import (
     SERVE_POLICIES,
@@ -24,7 +26,7 @@ from repro.serve.service import (
     LatencyConfig,
     drive_requests,
     replay_requests,
-    run_service,
+    run_configured,
 )
 from repro.serve.store import ObjectStore
 from repro.serve.workloads import (
@@ -262,7 +264,10 @@ def test_obstruction_monitor_flags_slow_tenants():
 def test_chrome_serve_policy_trains_on_sampled_segments():
     requests = build_workload("zipf_scan", 4000, seed=3)
     policy = ChromeServePolicy(seed=4)
-    metrics = run_service(requests, policy, 1 << 20, 64, num_clients=1)
+    metrics = run_configured(
+        requests, ServiceConfig(1 << 20, 64, policy="chrome", num_clients=1),
+        policy=policy,
+    )
     tel = metrics.telemetry
     assert tel["q_updates"] > 0
     assert tel["sampled_requests"] > 0
@@ -275,13 +280,15 @@ def test_chrome_serve_beats_lru_on_byte_hit_ratio():
     results = {}
     for name in ("lru", "chrome"):
         requests = build_workload("zipf_scan", 8000, seed=3)
-        results[name] = run_service(
-            requests,
-            make_serve_policy(name),
+        config = ServiceConfig(
             16 << 20,  # the default-scale store geometry
             128,
+            policy=name,
             num_clients=4,
             warmup_requests=1500,
+        )
+        results[name] = run_configured(
+            requests, config, policy=make_serve_policy(name)
         )
     assert results["chrome"].byte_hit_ratio > results["lru"].byte_hit_ratio
 
@@ -308,15 +315,19 @@ def test_num_clients_never_changes_results(policy_name):
     requests = build_workload("multitenant", 2500, seed=8)
     baseline = None
     for clients in (1, 2, 7):
-        metrics = run_service(
-            requests,
-            make_serve_policy(
-                policy_name, **({"seed": 5} if policy_name == "chrome" else {})
-            ),
+        config = ServiceConfig(
             1 << 20,
             32,
+            policy=policy_name,
             num_clients=clients,
             warmup_requests=500,
+        )
+        metrics = run_configured(
+            requests,
+            config,
+            policy=make_serve_policy(
+                policy_name, **({"seed": 5} if policy_name == "chrome" else {})
+            ),
         )
         key = _metrics_key(metrics)
         if baseline is None:
@@ -411,10 +422,10 @@ def test_driver_stops_at_the_failing_request(clients, fail_at):
 
 def test_warmup_requests_excluded_from_metrics():
     requests = build_workload("zipf", 1000, seed=12)
-    full = run_service(requests, LRUServePolicy(), 1 << 20, 16, num_clients=1)
-    warm = run_service(
-        requests, LRUServePolicy(), 1 << 20, 16, num_clients=1,
-        warmup_requests=400,
+    config = ServiceConfig(1 << 20, 16, num_clients=1)
+    full = run_configured(requests, config, policy=LRUServePolicy())
+    warm = run_configured(
+        requests, replace(config, warmup_requests=400), policy=LRUServePolicy()
     )
     assert full.requests == 1000
     assert warm.requests == 600
