@@ -99,6 +99,11 @@ class ClusterService:
     ) -> None:
         if num_shards < 1:
             raise ValueError("num_shards must be >= 1")
+        if kill_faults is not None and not 0 <= kill_shard < num_shards:
+            raise ValueError(
+                f"kill_shard {kill_shard} out of range for a kill schedule "
+                f"(fleet has {num_shards} shards)"
+            )
         per_shard_capacity = config.capacity_bytes // num_shards
         if per_shard_capacity < config.num_segments:
             raise ValueError(
@@ -143,13 +148,11 @@ class ClusterService:
             self._policies.append(policy)
         # Shard-kill oracle: outage windows of a FaultConfig, evaluated
         # in virtual time — liveness is a pure function of now_ms.
-        self._kill_shard = kill_shard if kill_faults is not None else -1
         self._kill_oracle = (
-            FaultInjector(kill_faults)
-            if kill_faults is not None and 0 <= kill_shard < num_shards
-            else None
+            FaultInjector(kill_faults) if kill_faults is not None else None
         )
         self._all_live: Tuple[bool, ...] = (True,) * num_shards
+        self._kill_mask = tuple(idx != kill_shard for idx in range(num_shards))
         self._last_live: Tuple[bool, ...] = self._all_live
         # Hot-key detection needs replicas to split across.
         if hotkey_window > 0 and self.ring.replication > 1:
@@ -203,11 +206,7 @@ class ClusterService:
         if self._kill_oracle is None:
             return self._all_live
         down, _ = self._kill_oracle.outage_state(now_ms)
-        if not down:
-            return self._all_live
-        mask = list(self._all_live)
-        mask[self._kill_shard] = False
-        return tuple(mask)
+        return self._kill_mask if down else self._all_live
 
     # --- request path ---------------------------------------------------------------
 
@@ -246,7 +245,7 @@ class ClusterService:
                     hot_keys=len(hot),
                     hot_evictions=hotkeys.hot_evictions,
                 )
-        pref = self.ring.preference(req.key, live=live)
+        pref, home = self.ring.route(req.key, live)
         if not pref:
             self.unroutable += 1
             if self._ops_tap is not None:
@@ -260,7 +259,7 @@ class ClusterService:
                 self.hot_splits += 1
         else:
             target = pref[0]
-        if not live[self.ring.primary(req.key)]:
+        if not live[home]:
             self.reroutes += 1
         self.routed[target] += 1
         if hotkeys is not None:

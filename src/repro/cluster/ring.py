@@ -23,7 +23,7 @@ Dynamo preference lists), made deterministic the repro way:
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..sim.address import mix_hash
 
@@ -63,8 +63,67 @@ class HashRing:
         points.sort()
         self._points = points
         self._hashes = [p for p, _ in points]
+        #: home shard of the arc ending at each point (liveness ignored)
+        self._owners = [shard for _, shard in points]
+        #: live mask -> preference tuple of the arc ending at each point,
+        #: built the first time the mask is routed (None = all live)
+        self._arcs: Dict[Optional[Tuple[bool, ...]], List[Tuple[int, ...]]] = {}
 
     # --- routing ------------------------------------------------------------------
+
+    def route(
+        self, key: int, live: Optional[Sequence[bool]] = None
+    ) -> Tuple[Tuple[int, ...], int]:
+        """``(preference, home)`` for ``key``: one hash, one bisect.
+
+        ``preference`` is what :meth:`preference` returns (as a tuple)
+        and ``home`` is what :meth:`primary` returns; both come from
+        the arc the key falls in, looked up in the table of its live
+        mask.
+        """
+        idx = bisect_left(self._hashes, mix_hash(key))
+        if idx == len(self._owners):
+            idx = 0  # past the last point: the ring wraps to the first
+        if live is not None and live.__class__ is not tuple:
+            live = tuple(live)
+        arcs = self._arcs.get(live)
+        if arcs is None:
+            arcs = self._arcs[live] = self._build_arcs(live)
+        return arcs[idx], self._owners[idx]
+
+    def _build_arcs(
+        self, live: Optional[Tuple[bool, ...]]
+    ) -> List[Tuple[int, ...]]:
+        """Every arc's preference tuple under one live mask.
+
+        The clockwise walk from each point collecting distinct live
+        shards: the walk :meth:`preference` describes, done once per
+        point instead of once per request.
+        """
+        owners = self._owners
+        n = len(owners)
+        up = self.num_shards if live is None else sum(
+            1 for shard in range(self.num_shards) if live[shard]
+        )
+        # A walk stops once it holds every shard it can get, so a mask
+        # with fewer than R live shards never walks the ring in vain.
+        want = min(self.replication, up)
+        if want == 0:
+            return [()] * n
+        arcs: List[Tuple[int, ...]] = []
+        for idx in range(n):
+            chosen: List[int] = []
+            for step in range(n):
+                shard = owners[(idx + step) % n]
+                if shard in chosen:
+                    continue
+                if live is not None and not live[shard]:
+                    continue
+                chosen.append(shard)
+                if len(chosen) == want:
+                    break
+            arcs.append(tuple(chosen))
+        return arcs
 
     def preference(
         self, key: int, live: Optional[Sequence[bool]] = None
@@ -78,27 +137,11 @@ class HashRing:
         else moves* — consistent hashing's whole point.  Returns fewer
         than R shards only when fewer than R are live.
         """
-        points = self._points
-        n = len(points)
-        idx = bisect_left(self._hashes, mix_hash(key))
-        want = self.replication
-        chosen: List[int] = []
-        for step in range(n):
-            shard = points[(idx + step) % n][1]
-            if shard in chosen:
-                continue
-            if live is not None and not live[shard]:
-                continue
-            chosen.append(shard)
-            if len(chosen) == want:
-                break
-        return chosen
+        return list(self.route(key, live)[0])
 
     def primary(self, key: int) -> int:
         """The key's home shard ignoring liveness (reroute accounting)."""
-        points = self._points
-        idx = bisect_left(self._hashes, mix_hash(key))
-        return points[idx % len(points)][1]
+        return self.route(key)[1]
 
     # --- introspection ------------------------------------------------------------
 

@@ -29,13 +29,15 @@ serving, shedding) that turns injected faults into bounded damage.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 from ..sim.address import mix_hash
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN64 = 0x9E3779B97F4A7C15
 _INV_2_64 = 1.0 / float(1 << 64)
+_INF = float("inf")
+_NAN = float("nan")
 
 # Salt constants so independent decision streams never correlate.
 _SALT_ERROR = 0x51
@@ -84,85 +86,136 @@ class FaultConfig:
         return tuple((f.name, getattr(self, f.name)) for f in fields(self))
 
 
+def _unit(seed: int, salt: int, a: int, b: int = 0) -> float:
+    """Uniform [0, 1) from (seed, salt, a, b) — pure, no state."""
+    h = mix_hash((seed ^ (salt * _GOLDEN64) ^ (a << 20) ^ b) & _MASK64)
+    return h * _INV_2_64
+
+
+class _Windows:
+    """The periodic windows of one fault class, in virtual time.
+
+    Window ``k`` starts at ``k*every + jitter_k`` where the jitter is a
+    pure hash of ``(seed, salt, k)`` — windows land at irregular but
+    fully reproducible times.  As time moves forward each window's
+    start is hashed once: the object keeps the index last asked about,
+    the bounds of that window and the one before (O(1) state, whatever
+    the horizon) and the last answer, so a query inside an already
+    evaluated window costs a division and a few comparisons, and a
+    repeated query costs one comparison.
+    """
+
+    __slots__ = (
+        "every", "duration", "span", "seed", "salt",
+        "k", "start", "end", "prev_start", "prev_end", "now", "answer",
+    )
+
+    def __init__(
+        self, every_ms: float, duration_ms: float, seed: int, salt: int
+    ) -> None:
+        self.every = every_ms
+        self.duration = duration_ms
+        self.span = max(0.0, every_ms - duration_ms)
+        self.seed = seed
+        self.salt = salt
+        # Index -1 has no window and neither has -2: a true starting state.
+        self.k = -1
+        self.start = self.end = self.prev_start = self.prev_end = _INF
+        self.now = _NAN  # never equal to a query time
+        self.answer = (False, _INF)
+
+    def _bounds(self, k: int) -> Tuple[float, float]:
+        """``(start, end)`` of window ``k``; none before window 0."""
+        if k < 0:
+            return _INF, _INF
+        start = k * self.every + _unit(self.seed, self.salt, k) * self.span
+        return start, start + self.duration
+
+    def state(self, now_ms: float) -> Tuple[bool, float]:
+        """Is ``now_ms`` inside a window, and how long since the most
+        recent window *ended* (``inf`` if none ended yet)?"""
+        if now_ms == self.now:
+            return self.answer
+        k = int(now_ms // self.every)
+        if k != self.k:
+            if k == self.k + 1:  # time moved on: window k becomes k-1
+                self.prev_start, self.prev_end = self.start, self.end
+                self.start, self.end = self._bounds(k)
+            else:
+                self.start, self.end = self._bounds(k)
+                self.prev_start, self.prev_end = self._bounds(k - 1)
+            self.k = k
+        # Window k first, then k-1 (they overlap once duration > every).
+        since_end = _INF
+        if self.start <= now_ms < self.end:
+            answer = (True, 0.0)
+        else:
+            if now_ms >= self.end:
+                since_end = now_ms - self.end
+            if self.prev_start <= now_ms < self.prev_end:
+                answer = (True, 0.0)
+            else:
+                if now_ms >= self.prev_end:
+                    since_end = min(since_end, now_ms - self.prev_end)
+                answer = (False, since_end)
+        self.now = now_ms
+        self.answer = answer
+        return answer
+
+
 class FaultInjector:
     """Pure-function fault oracle over a :class:`FaultConfig`.
 
     All randomness is derived by hashing ``(seed, salt, ...)`` through
-    the splitmix64 finalizer — stateless, order-independent and
+    the splitmix64 finalizer — order-independent and
     process-independent, which is what lets the concurrent driver
     consult it without any sequencing constraints beyond the ones the
-    service already enforces.
+    service already enforces.  The only state is each window class's
+    cache of its current window (:class:`_Windows`), which changes how
+    fast an answer comes, never what it is.
     """
 
-    __slots__ = ("config", "_seed")
+    __slots__ = ("config", "_seed", "_outage", "_burst", "_brownout")
 
     def __init__(self, config: FaultConfig) -> None:
         self.config = config
         self._seed = mix_hash((config.seed << 1) ^ 0xFA017)
+        self._outage = self._windows(
+            config.outage_every_ms, config.outage_duration_ms, _SALT_OUTAGE
+        )
+        self._burst = self._windows(
+            config.burst_every_ms, config.burst_duration_ms, _SALT_BURST
+        )
+        self._brownout = self._windows(
+            config.brownout_every_ms, config.brownout_duration_ms, _SALT_BROWNOUT
+        )
 
-    # --- deterministic randomness ---------------------------------------------
-
-    def _unit(self, salt: int, a: int, b: int = 0) -> float:
-        """Uniform [0, 1) from (seed, salt, a, b) — pure, no state."""
-        h = mix_hash((self._seed ^ (salt * _GOLDEN64) ^ (a << 20) ^ b) & _MASK64)
-        return h * _INV_2_64
+    def _windows(
+        self, every_ms: float, duration_ms: float, salt: int
+    ) -> Optional[_Windows]:
+        """The window clock of one fault class (None when it is off)."""
+        if every_ms <= 0.0 or duration_ms <= 0.0:
+            return None
+        return _Windows(every_ms, duration_ms, self._seed, salt)
 
     # --- windows in virtual time ----------------------------------------------
 
-    def _window(
-        self, now_ms: float, every_ms: float, duration_ms: float, salt: int
-    ) -> Tuple[bool, float]:
-        """Is ``now_ms`` inside the periodic fault window, and how long
-        since the most recent window *ended* (``inf`` if none ended yet)?
-
-        Window ``k`` starts at ``k*every + jitter_k`` where the jitter
-        is a pure hash of ``(seed, salt, k)`` — windows land at
-        irregular but fully reproducible times.
-        """
-        if every_ms <= 0.0 or duration_ms <= 0.0:
-            return False, float("inf")
-        span = max(0.0, every_ms - duration_ms)
-        since_end = float("inf")
-        k = int(now_ms // every_ms)
-        for kk in (k, k - 1):
-            if kk < 0:
-                continue
-            start = kk * every_ms + self._unit(salt, kk) * span
-            end = start + duration_ms
-            if start <= now_ms < end:
-                return True, 0.0
-            if now_ms >= end:
-                since_end = min(since_end, now_ms - end)
-        return False, since_end
-
     def outage_state(self, now_ms: float) -> Tuple[bool, float]:
         """(in-outage, ms-since-last-outage-ended) at ``now_ms``."""
-        return self._window(
-            now_ms,
-            self.config.outage_every_ms,
-            self.config.outage_duration_ms,
-            _SALT_OUTAGE,
-        )
+        outage = self._outage
+        return outage.state(now_ms) if outage is not None else (False, _INF)
 
     def _burst_active(self, now_ms: float) -> bool:
-        active, _ = self._window(
-            now_ms,
-            self.config.burst_every_ms,
-            self.config.burst_duration_ms,
-            _SALT_BURST,
-        )
-        return active
+        burst = self._burst
+        return burst is not None and burst.state(now_ms)[0]
 
     def _brownout_active(self, tenant: int, now_ms: float) -> bool:
-        if tenant != self.config.brownout_tenant:
-            return False
-        active, _ = self._window(
-            now_ms,
-            self.config.brownout_every_ms,
-            self.config.brownout_duration_ms,
-            _SALT_BROWNOUT,
+        brownout = self._brownout
+        return (
+            brownout is not None
+            and tenant == self.config.brownout_tenant
+            and brownout.state(now_ms)[0]
         )
-        return active
 
     # --- the decision the service consumes -------------------------------------
 
@@ -172,10 +225,11 @@ class FaultInjector:
         Used to label requests for degraded-mode metrics; pure, so the
         label is identical across client counts and processes.
         """
-        cfg = self.config
-        in_outage, since_end = self.outage_state(now_ms)
-        if in_outage or since_end < cfg.recovery_ramp_ms:
-            return True
+        outage = self._outage
+        if outage is not None:
+            in_outage, since_end = outage.state(now_ms)
+            if in_outage or since_end < self.config.recovery_ramp_ms:
+                return True
         if self._burst_active(now_ms):
             return True
         return self._brownout_active(tenant, now_ms)
@@ -191,22 +245,25 @@ class FaultInjector:
         brownout or post-outage slow-start multiplier.
         """
         cfg = self.config
-        in_outage, since_end = self.outage_state(now_ms)
-        if in_outage:
-            return True, 1.0
         multiplier = 1.0
-        if since_end < cfg.recovery_ramp_ms:
-            # Linear slow-start: full penalty right after recovery,
-            # back to 1x by the end of the ramp.
-            frac = 1.0 - since_end / cfg.recovery_ramp_ms
-            multiplier *= 1.0 + (cfg.recovery_multiplier - 1.0) * frac
+        outage = self._outage
+        if outage is not None:
+            in_outage, since_end = outage.state(now_ms)
+            if in_outage:
+                return True, 1.0
+            if since_end < cfg.recovery_ramp_ms:
+                # Linear slow-start: full penalty right after recovery,
+                # back to 1x by the end of the ramp.
+                frac = 1.0 - since_end / cfg.recovery_ramp_ms
+                multiplier *= 1.0 + (cfg.recovery_multiplier - 1.0) * frac
         error_rate = cfg.error_rate
         if self._burst_active(now_ms):
             error_rate = max(error_rate, cfg.burst_error_rate)
         if self._brownout_active(tenant, now_ms):
             error_rate = max(error_rate, cfg.brownout_error_rate)
             multiplier *= cfg.brownout_multiplier
-        if cfg.spike_rate > 0.0 and self._unit(_SALT_SPIKE, seq, attempt) < cfg.spike_rate:
+        seed = self._seed
+        if cfg.spike_rate > 0.0 and _unit(seed, _SALT_SPIKE, seq, attempt) < cfg.spike_rate:
             multiplier *= cfg.spike_multiplier
-        failed = error_rate > 0.0 and self._unit(_SALT_ERROR, seq, attempt) < error_rate
+        failed = error_rate > 0.0 and _unit(seed, _SALT_ERROR, seq, attempt) < error_rate
         return failed, multiplier

@@ -2,7 +2,10 @@
 ring, hot-key detection, Q-table federation, fleet determinism under
 shard kills, and the federation-beats-isolated seeded smoke."""
 
+import itertools
 import json
+import random
+from bisect import bisect_left
 from dataclasses import replace
 
 import pytest
@@ -18,8 +21,10 @@ from repro.cluster.federate import federate_agents
 from repro.core.config import ChromeConfig
 from repro.serve.agent import ServeAgent
 from repro.serve.config import ServiceConfig
+from repro.serve.faults import FaultConfig
 from repro.serve.service import run_configured
 from repro.serve.workloads import build_workload
+from repro.sim.address import mix_hash
 
 # --- ring ---------------------------------------------------------------------
 
@@ -94,6 +99,70 @@ def test_ring_validates_arguments():
         HashRing(2, replication=0)
     with pytest.raises(ValueError):
         HashRing(2, vnodes=0)
+
+
+def _walk(ring, key, live):
+    """The reference router: hash the key, bisect, walk the points."""
+    points = ring._points
+    n = len(points)
+    idx = bisect_left([p for p, _ in points], mix_hash(key))
+    chosen = []
+    for step in range(n):
+        shard = points[(idx + step) % n][1]
+        if shard in chosen or (live is not None and not live[shard]):
+            continue
+        chosen.append(shard)
+        if len(chosen) == ring.replication:
+            break
+    return chosen, points[idx % n][1]
+
+
+@pytest.mark.parametrize("shards,replication", [(4, 2), (6, 3)])
+def test_ring_route_matches_the_walk_under_every_live_mask(shards, replication):
+    ring = HashRing(shards, replication=replication, vnodes=32, seed=shards)
+    keys = random.Random(shards).sample(range(1 << 40), 2000)
+    masks = [None] + list(itertools.product((True, False), repeat=shards))
+    for live in masks:
+        for key in keys:
+            pref, home = _walk(ring, key, live)
+            assert ring.route(key, live) == (tuple(pref), home)
+            assert ring.preference(key, live) == pref
+            assert ring.primary(key) == home
+
+
+def test_ring_all_dead_mask_routes_nowhere():
+    ring = HashRing(4, replication=2, vnodes=16, seed=2)
+    dead = (False,) * 4
+    for key in range(300):
+        pref, home = ring.route(key, dead)
+        assert pref == () and ring.preference(key, list(dead)) == []
+        assert home == ring.primary(key)
+
+
+def test_ring_alternating_masks_keep_their_own_tables():
+    ring = HashRing(6, replication=3, vnodes=16, seed=4)
+    masks = [
+        (True,) * 6,
+        (True, False, True, True, False, True),
+        (False,) * 6,
+        (False, False, True, False, False, False),
+        None,
+    ]
+    mutable = [True] * 6
+    routed = set()
+    for i in range(3000):
+        live = masks[i % len(masks)]
+        key = i * 7919
+        pref, home = _walk(ring, key, live)
+        assert ring.route(key, live) == (tuple(pref), home)
+        # A list mask edited in place between two calls is read afresh.
+        assert ring.preference(key, mutable) == _walk(ring, key, mutable)[0]
+        routed.add(tuple(mutable))
+        mutable[i % 6] = not mutable[i % 6]
+        assert ring.preference(key, mutable) == _walk(ring, key, mutable)[0]
+        routed.update((live, tuple(mutable)))
+    # tables exist only for the masks actually routed
+    assert set(ring._arcs) == routed
 
 
 # --- hot keys -----------------------------------------------------------------
@@ -348,6 +417,20 @@ def test_cluster_shard_kill_heals_and_routes_around():
     healthy = _fleet_job(kill_shard=-1, kill_fault_params=()).execute()
     assert healthy.ring_changes == 0
     assert healthy.reroutes == 0
+
+
+def test_cluster_rejects_a_kill_schedule_for_a_missing_shard():
+    config = ServiceConfig.from_params(
+        capacity_bytes=4 << 20, num_segments=32, policy="lru", seed=0
+    )
+    kill = FaultConfig(**dict(_KILL_FAULTS))
+    for shard in (-1, 4, 9):
+        with pytest.raises(ValueError, match="kill_shard"):
+            ClusterService(config, 4, kill_shard=shard, kill_faults=kill)
+    with pytest.raises(ValueError, match="kill_shard"):
+        _fleet_job(kill_shard=-1).execute()
+    # no kill schedule: the shard index is not consulted
+    ClusterService(config, 4, kill_shard=-1, kill_faults=None)
 
 
 def test_cluster_fleet_aggregates_exactly():
