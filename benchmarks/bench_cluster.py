@@ -43,7 +43,7 @@ from repro.cluster.experiments import (  # noqa: E402
     NUM_SHARDS,
     REPLICATION,
 )
-from repro.cluster.jobs import ClusterJob  # noqa: E402
+from repro.env import env_job  # noqa: E402
 from repro.experiments.runner import ExperimentScale  # noqa: E402
 from repro.serve.config import ServiceConfig  # noqa: E402
 from repro.serve.experiments import NUM_SEGMENTS, serve_capacity  # noqa: E402
@@ -80,7 +80,8 @@ def fleet_record(metrics, elapsed: float) -> dict:
 def run_fleet(
     workload: str, requests: int, warmup: int, capacity: int, federate: bool
 ) -> dict:
-    job = ClusterJob(
+    job = env_job(
+        "cluster",
         workload=workload,
         policy="chrome",
         num_requests=requests,

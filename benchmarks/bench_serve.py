@@ -39,13 +39,13 @@ _SRC = Path(__file__).resolve().parents[1] / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
+from repro.env import env_job  # noqa: E402
 from repro.experiments.runner import ExperimentScale  # noqa: E402
 from repro.serve.experiments import (  # noqa: E402
     NUM_SEGMENTS,
     SERVE_POLICIES_COMPARED,
     serve_capacity,
 )
-from repro.serve.jobs import ServeJob  # noqa: E402
 
 RESULTS_PATH = Path(__file__).parent / "results" / "BENCH_serve.json"
 
@@ -71,7 +71,8 @@ def run_one(
     capacity: int,
     checkpoint_every: int,
 ) -> dict:
-    job = ServeJob(
+    job = env_job(
+        "serve",
         workload=workload,
         policy=policy,
         num_requests=requests,

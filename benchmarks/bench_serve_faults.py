@@ -36,6 +36,7 @@ _SRC = Path(__file__).resolve().parents[1] / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
+from repro.env import env_job  # noqa: E402
 from repro.experiments.runner import ExperimentScale  # noqa: E402
 from repro.serve.experiments import (  # noqa: E402
     FAULT_POLICIES,
@@ -45,7 +46,6 @@ from repro.serve.experiments import (  # noqa: E402
     resilient_params,
     serve_capacity,
 )
-from repro.serve.jobs import ServeJob  # noqa: E402
 
 RESULTS_PATH = Path(__file__).parent / "results" / "BENCH_serve_faults.json"
 
@@ -59,7 +59,8 @@ def run_one(
     capacity: int,
     obs=None,
 ) -> dict:
-    job = ServeJob(
+    job = env_job(
+        "serve",
         workload="zipf_scan",
         policy=policy,
         num_requests=requests,

@@ -26,14 +26,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 _SRC = Path(__file__).resolve().parents[1] / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
-from repro.cluster import ClusterJob  # noqa: E402
+from repro.env import EnvJob, env_job  # noqa: E402
 from repro.serve import ServiceConfig, build_workload, run_configured  # noqa: E402
 
 NUM_SHARDS = 4
@@ -42,8 +41,8 @@ SEGMENTS = 64
 SEED = 11
 
 
-def base_job(requests: int, warmup: int) -> ClusterJob:
-    return ClusterJob(
+def base_job(requests: int, warmup: int, **overrides) -> EnvJob:
+    spec = dict(
         workload="zipf_scan",
         policy="chrome",
         num_requests=requests,
@@ -57,6 +56,8 @@ def base_job(requests: int, warmup: int) -> ClusterJob:
         federate_every=max(1, requests // 8),
         hotkey_window=512,
     )
+    spec.update(overrides)
+    return env_job("cluster", **spec)
 
 
 def federation_demo(requests: int, warmup: int) -> None:
@@ -90,11 +91,12 @@ def federation_demo(requests: int, warmup: int) -> None:
     print("  fleet beats the best isolated shard: True")
 
 
-def shard_kill_demo(requests: int, warmup: int) -> ClusterJob:
+def shard_kill_demo(requests: int, warmup: int) -> EnvJob:
     """Kill shard 2 mid-run; the ring routes around it and heals."""
     horizon_ms = (requests + warmup) * 0.5  # virtual clock, 0.5 ms arrivals
-    job = replace(
-        base_job(requests, warmup),
+    job = base_job(
+        requests,
+        warmup,
         kill_shard=2,
         kill_fault_params=(
             ("seed", 3),
@@ -112,10 +114,10 @@ def shard_kill_demo(requests: int, warmup: int) -> ClusterJob:
     return job
 
 
-def invariance_demo(job: ClusterJob) -> None:
+def invariance_demo(job: EnvJob) -> None:
     """Same fleet, 1 vs 64 concurrent clients: byte-identical."""
-    one = replace(job, num_clients=1).execute()
-    many = replace(job, num_clients=64).execute()
+    one = env_job("cluster", **{**job.params, "num_clients": 1}).execute()
+    many = env_job("cluster", **{**job.params, "num_clients": 64}).execute()
     identical = one == many
     print(f"\nnum_clients 1 vs 64 (with the mid-run kill): "
           f"bit-identical = {identical}")

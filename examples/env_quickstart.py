@@ -1,9 +1,11 @@
-"""Environment-protocol quickstart: one RL core, four domains, one recipe.
+"""Environment-protocol quickstart: one RL core, five domains, one recipe.
 
 Part 1 walks the registry: every registered environment (the LLC
-simulator, the object-cache service, the sharded fleet, and the toy
-DRAM-row cache) is built from the same ``build_environment`` call and
-run to completion — four domains, zero domain-specific driver code.
+simulator, the object-cache service, the sharded fleet, the
+ops-managed service, and the toy DRAM-row cache) is built from the
+same ``build_environment`` call and run to completion — five domains,
+zero domain-specific driver code.  Each ``run()`` returns its domain's
+own result object, the same one the experiment engine caches.
 
 Part 2 shows the snapshot seam the protocol standardizes: the toy
 environment is trained, its agent state is captured, and a fresh
@@ -41,13 +43,30 @@ from repro.env import (  # noqa: E402
     register_environment,
     run_steps,
 )
+from repro.experiments.jobspec import MixSpec, PolicySpec  # noqa: E402
 from repro.sim.address import fold_hash, mix_hash  # noqa: E402
+
+_SERVE = dict(
+    workload="zipf_scan",
+    policy="chrome",
+    num_requests=800,
+    warmup_requests=160,
+    capacity_bytes=1 << 20,
+    num_segments=64,
+)
 
 #: small run sizes so the whole tour finishes in seconds
 SMALL = {
-    "sim": dict(accesses_per_core=800, warmup_accesses=200),
-    "serve": dict(num_requests=800, warmup_requests=160),
-    "cluster": dict(num_requests=800),
+    "sim": dict(
+        mix=MixSpec.homogeneous("mcf06", 2, seed=7),
+        policy=PolicySpec.named("chrome"),
+        machine_scale=1 / 64,
+        accesses_per_core=800,
+        warmup_per_core=200,
+    ),
+    "serve": _SERVE,
+    "cluster": dict(_SERVE, num_shards=3),
+    "ops": _SERVE,
     "toy": dict(num_steps=3000),
 }
 
@@ -58,12 +77,14 @@ def tour_registry() -> None:
     for name in available_environments():
         result = build_environment(name, **SMALL.get(name, {})).run()
         headline = {
-            "sim": lambda r: f"llc hits {r['llc_hits']}/{r['llc_accesses']}",
-            "serve": lambda r: (
-                f"object hit {100 * r['hits'] / r['requests']:.1f}%"
+            "sim": lambda r: (
+                f"llc hits {r.llc_stats.demand_hits}/{r.llc_stats.demand_accesses}"
             ),
-            "cluster": lambda r: (
-                f"fleet hit {100 * r['fleet']['hits'] / r['fleet']['requests']:.1f}%"
+            "serve": lambda r: f"object hit {100 * r.object_hit_ratio:.1f}%",
+            "cluster": lambda r: f"fleet hit {100 * r.fleet.object_hit_ratio:.1f}%",
+            "ops": lambda r: (
+                f"champion hit {100 * r.champion.object_hit_ratio:.1f}% "
+                f"({len(r.windows)} ops windows)"
             ),
             "toy": lambda r: f"row hit {100 * r['row_hit_ratio']:.1f}%",
         }[name](result)
@@ -140,7 +161,7 @@ class TranslationCacheEnvironment(Environment):
             del entries[max(entries, key=entries.__getitem__)]
         entries[obs.key] = ACTION_TO_EPV[action]
 
-    def run(self):
+    def run(self, obs=None):
         steps = run_steps(self.agent, self)
         return {"steps": steps, "hits": self.hits, "misses": self.misses,
                 "hit_ratio": self.hits / max(1, self.hits + self.misses)}

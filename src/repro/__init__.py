@@ -43,11 +43,9 @@ the README's cluster section.
 """
 
 from .cluster import (
-    ClusterJob,
     ClusterMetrics,
     ClusterService,
     HashRing,
-    run_cluster,
 )
 from .core import (
     ChromeConfig,
@@ -68,6 +66,7 @@ from .env import (
     Observation,
     available_environments,
     build_environment,
+    env_job,
     register_environment,
 )
 from .obs import ObsConfig
@@ -78,7 +77,6 @@ from .experiments import (
     MixSpec,
     PolicySpec,
     ResultCache,
-    SimJob,
     available_experiments,
     register_experiment,
     resolve_policy,
@@ -94,7 +92,6 @@ from .sim import (
 )
 from .serve import (
     CacheService,
-    ServeJob,
     ServeMetrics,
     ServiceConfig,
     run_configured,
@@ -120,7 +117,6 @@ __all__ = [
     "CacheService",
     "ChromeConfig",
     "ChromePolicy",
-    "ClusterJob",
     "ClusterMetrics",
     "ClusterService",
     "DRAMModel",
@@ -137,14 +133,12 @@ __all__ = [
     "Observation",
     "PolicySpec",
     "ResultCache",
-    "SimJob",
     "GAP_TRACES",
     "MultiCoreSystem",
     "PAPER_SCHEMES",
     "POLICY_REGISTRY",
     "QTable",
     "RewardConfig",
-    "ServeJob",
     "ServeMetrics",
     "ServiceConfig",
     "SystemConfig",
@@ -156,6 +150,7 @@ __all__ = [
     "build_gap_trace",
     "build_spec_trace",
     "chrome_overhead",
+    "env_job",
     "heterogeneous_mix",
     "homogeneous_mix",
     "make_nchrome_policy",
@@ -165,7 +160,6 @@ __all__ = [
     "register_experiment",
     "resolve_policy",
     "restore_agent",
-    "run_cluster",
     "run_configured",
     "run_experiment",
     "save_agent",

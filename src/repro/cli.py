@@ -221,11 +221,12 @@ def _add_obs_backend_args(sub: argparse.ArgumentParser) -> None:
 def _apply_backend(backend: Optional[str]) -> None:
     """Propagate --backend to every layer via the validated env var.
 
-    Jobs cross process boundaries as frozen specs whose ``backend``
-    fields default to None (= defer to ``REPRO_BACKEND``), so the env
-    var is exactly the right channel: worker processes inherit it, and
-    :func:`repro.core.backend.resolve_backend` validates it at every
-    construction site.
+    Jobs cross process boundaries as frozen specs that carry no
+    backend (it never changes results, so it must not enter a job's
+    fingerprint); every construction site defers to ``REPRO_BACKEND``,
+    so the env var is exactly the right channel: worker processes
+    inherit it, and :func:`repro.core.backend.resolve_backend`
+    validates it at every construction site.
     """
     if backend is not None:
         from .core.backend import resolve_backend
@@ -243,12 +244,12 @@ def _obs_config_from_args(args: argparse.Namespace):
 
 
 def _cluster_job_from_args(args: argparse.Namespace):
-    """Build the ClusterJob the ``cluster`` subcommand describes.
+    """Build the ``cluster`` job the ``cluster`` subcommand describes.
 
     Split from the command so tests can assert that every CLI flag
     lands in the frozen job spec; raises ValueError on bad arguments.
     """
-    from .cluster import ClusterJob
+    from .env import env_job
 
     if args.shards < 1 or args.replication < 1:
         raise ValueError("--shards/--replication must be >= 1")
@@ -267,7 +268,8 @@ def _cluster_job_from_args(args: argparse.Namespace):
             ("outage_every_ms", round(horizon_ms, 3)),
             ("outage_duration_ms", round(horizon_ms / 4.0, 3)),
         )
-    return ClusterJob(
+    return env_job(
+        "cluster",
         workload=args.workload,
         policy=args.policy,
         num_requests=args.requests,
@@ -326,9 +328,9 @@ def _run_cluster_command(args: argparse.Namespace) -> int:
 
 
 def _ops_job_from_args(args: argparse.Namespace):
-    """Build the OpsJob the ``ops`` subcommand describes."""
+    """Build the ``ops`` job the ``ops`` subcommand describes."""
+    from .env import env_job
     from .ops import OpsConfig
-    from .ops.jobs import OpsJob
 
     if args.shards < 0:
         raise ValueError("--shards must be >= 0")
@@ -342,7 +344,8 @@ def _ops_job_from_args(args: argparse.Namespace):
         snapshot_every=args.snapshot_every,
         degrade_at_window=args.degrade_at,
     )
-    return OpsJob(
+    return env_job(
+        "ops",
         workload=args.workload,
         policy=args.policy,
         num_requests=args.requests,
@@ -366,9 +369,9 @@ def _run_ops_command(args: argparse.Namespace) -> int:
     start = time.time()
     result = job.execute(obs=obs_config)
     champion = result.champion
-    fleet = champion.fleet if job.num_shards else champion
-    tier = f"{job.num_shards}-shard fleet" if job.num_shards else "service"
-    print(f"ops: {job.policy} {tier} on {job.workload}")
+    fleet = champion.fleet if args.shards else champion
+    tier = f"{args.shards}-shard fleet" if args.shards else "service"
+    print(f"ops: {args.policy} {tier} on {args.workload}")
     print(
         f"  champion: requests {fleet.requests}  object_hit "
         f"{100.0 * fleet.object_hit_ratio:.2f}%  byte_hit "

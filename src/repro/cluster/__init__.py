@@ -13,26 +13,23 @@ by entrywise averaging (:mod:`.federate`) — the fleet learns faster
 than any isolated shard (the bench gate pins this).
 
 Importing this package registers the ``cluster`` experiment with the
-shared registry; :class:`~repro.cluster.jobs.ClusterJob` specs run on
-the parallel experiment engine like every other job kind.
+shared registry; its ``cluster`` :class:`~repro.env.jobs.EnvJob` specs
+(:mod:`repro.cluster.env`) run on the parallel experiment engine like
+every other experiment.
 """
 
-from .cluster import ClusterMetrics, ClusterService, run_cluster
+from .cluster import ClusterMetrics, ClusterService
 from .federate import federate_agents, merge_qtable_states
 from .hotkeys import HotKeyDetector
-from .jobs import CLUSTER_CODE_VERSION, ClusterJob
 from .ring import HashRing
 
 from . import experiments as _experiments  # noqa: F401  (eager registration)
 
 __all__ = [
-    "CLUSTER_CODE_VERSION",
-    "ClusterJob",
     "ClusterMetrics",
     "ClusterService",
     "HashRing",
     "HotKeyDetector",
     "federate_agents",
     "merge_qtable_states",
-    "run_cluster",
 ]

@@ -42,7 +42,7 @@ from ..serve.metrics import (
     TenantMetrics,
     percentile,
 )
-from ..serve.service import CacheService, drive_requests
+from ..serve.service import CacheService
 from ..serve.workloads import Request
 from ..sim.address import mix_hash
 from .federate import federate_agents
@@ -122,7 +122,12 @@ class ClusterService:
         )
         # N shards from one config: same shape, per-shard derived seeds
         # (exploration RNG and origin-chaos streams never shared).
-        shard_base = replace(config, capacity_bytes=per_shard_capacity)
+        # warmup_requests=-1: the sentinel never equals a real seq, so a
+        # shard's own warmup flip never fires — the cluster flips all
+        # recorders at the global warmup boundary below.
+        shard_base = replace(
+            config, capacity_bytes=per_shard_capacity, warmup_requests=-1
+        )
         self.recorders: List[MetricsRecorder] = []
         self.shards: List[CacheService] = []
         self._policies = []
@@ -132,16 +137,9 @@ class ClusterService:
             recorder = MetricsRecorder(
                 policy=config.policy, workload=config.workload_name
             )
-            store = shard_cfg.build_store(policy)
-            # warmup_requests=-1: the sentinel never equals a real seq,
-            # so the shard's own warmup flip never fires — the cluster
-            # flips all recorders at the global warmup boundary below.
             self.shards.append(
                 CacheService(
-                    store,
-                    recorder=recorder,
-                    warmup_requests=-1,
-                    config=shard_cfg,
+                    shard_cfg.build_store(policy), shard_cfg, recorder=recorder
                 )
             )
             self.recorders.append(recorder)
@@ -517,42 +515,3 @@ def _aggregate_fleet(
         fleet.degraded_requests = len(ordered)
         fleet.degraded_p99_latency_ms = percentile(ordered, 0.99)
     return fleet
-
-
-def run_cluster(
-    requests: Sequence[Request],
-    config: ServiceConfig,
-    num_shards: int,
-    *,
-    replication: int = 2,
-    vnodes: int = 64,
-    federate_every: int = 0,
-    hotkey_window: int = 0,
-    hotkey_top_k: int = 8,
-    hotkey_min_count: int = 16,
-    kill_shard: int = -1,
-    kill_faults: Optional[FaultConfig] = None,
-    obs=None,
-) -> ClusterMetrics:
-    """Run a request stream through a sharded fleet, end to end.
-
-    ``config`` describes the *fleet*: ``capacity_bytes`` is total fleet
-    capacity (split evenly), ``num_clients`` shapes the driver only —
-    the returned :class:`ClusterMetrics` is bit-identical at any client
-    count, shard kills and all.
-    """
-    cluster = ClusterService(
-        config,
-        num_shards,
-        replication=replication,
-        vnodes=vnodes,
-        federate_every=federate_every,
-        hotkey_window=hotkey_window,
-        hotkey_top_k=hotkey_top_k,
-        hotkey_min_count=hotkey_min_count,
-        kill_shard=kill_shard,
-        kill_faults=kill_faults,
-        obs=obs,
-    )
-    drive_requests(cluster, requests, config.num_clients)
-    return cluster.finalize()

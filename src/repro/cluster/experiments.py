@@ -67,11 +67,12 @@ def cluster_job(
     kill: bool = False,
     seed: int = 0,
 ):
+    from ..env.jobs import env_job
     from ..serve.experiments import NUM_SEGMENTS, serve_capacity
-    from .jobs import ClusterJob
 
     num_requests = scale.accesses_per_core
-    return ClusterJob(
+    return env_job(
+        "cluster",
         workload="zipf_scan",
         policy=policy,
         num_requests=num_requests,

@@ -12,14 +12,16 @@ that drive it:
   adapter opts it into the conformance suite;
 * :mod:`repro.env.toy` — the existence proof: a single-tier DRAM-row
   cache as one small adapter file;
-* :mod:`repro.env.jobs` / :mod:`repro.env.experiments` — frozen
-  :class:`EnvJob` specs and the ``env_toy`` experiment on the
+* :mod:`repro.env.jobs` — :class:`EnvJob`, the one job kind the
+  experiment engine schedules: a registered environment plus its
+  normalized parameters;
+* :mod:`repro.env.experiments` — the ``env_toy`` experiment on the
   parallel engine.
 
 This package's top level imports only leaf modules: the domain
-adapters (``repro.sim.env``, ``repro.serve.env``, ``repro.cluster.env``)
-are loaded lazily on first registry use, because the domains
-themselves import :mod:`repro.env.driver`.
+adapters (``repro.sim.env``, ``repro.serve.env``, ``repro.cluster.env``,
+``repro.ops.env``) are loaded lazily on first registry use, because the
+domains themselves import :mod:`repro.env.driver`.
 """
 
 from .driver import AgentCore, restore_agent_state, run_steps

@@ -14,12 +14,16 @@ subsystem:
   Hot bindings pass these as positional scalars instead (see the
   perf note in :mod:`repro.env.driver`); the dataclass is the
   reference form and the one the generic driver consumes.
-* :class:`Environment` — the run-level contract: ``run()`` executes
-  the whole domain loop and returns a picklable metrics mapping that
-  is a pure function of the construction spec (run-twice equality is
-  the conformance test's first claim), and ``agent_states()`` /
-  ``load_agent_states()`` expose the version-tagged snapshot seam the
-  ops layer (shadowing, rollback, warm starts) already speaks.
+* :class:`Environment` — the run-level contract: the adapter's
+  keyword parameters are the domain's whole run spec (what an
+  :class:`~repro.env.jobs.EnvJob` carries), ``run(obs=None)`` executes
+  the whole domain loop and returns the domain's own picklable,
+  value-equal result object (``SystemResult``, ``ServeMetrics``,
+  ``ClusterMetrics``, ``OpsResult``, ...) as a pure function of that
+  spec (run-twice equality is the conformance test's first claim), and
+  ``agent_states()`` / ``load_agent_states()`` expose the
+  version-tagged snapshot seam the ops layer (shadowing, rollback,
+  warm starts) already speaks.
 
 The action surface is shared by construction: every domain picks from
 the same four actions (``ACTION_BYPASS`` + three insert/set-EPV
@@ -32,7 +36,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Any, List
 
 
 @dataclass(frozen=True)
@@ -69,14 +73,21 @@ class Environment(ABC):
     registered adapter).
     """
 
-    #: registry id ("sim", "serve", "cluster", "toy", ...)
+    #: registry id ("sim", "serve", "cluster", "ops", "toy", ...)
     name: str = "env"
     #: persistence kind tag of this domain's agent snapshots
     snapshot_kind: str = "chrome-agent"
+    #: part of every job fingerprint: bump when the domain's semantics
+    #: change in a way that must invalidate cached results
+    code_version: str = "1"
 
     @abstractmethod
-    def run(self) -> Dict[str, object]:
-        """Execute the domain loop; return a picklable metrics mapping."""
+    def run(self, obs=None) -> Any:
+        """Execute the domain loop; return the domain's result object.
+
+        ``obs`` is an optional :class:`repro.obs.ObsSession` the run
+        records into; the result is identical with and without it.
+        """
 
     @abstractmethod
     def agent_states(self) -> List[dict]:

@@ -1,15 +1,17 @@
 """Environment adapter registry.
 
-Adapters register a *factory* under their domain name; factories accept
-keyword overrides (scale knobs, seeds, ``backend``) and return a fresh
-:class:`~repro.env.protocol.Environment`.  The conformance suite
+Adapters register a *factory* under their domain name — in practice
+the adapter class, whose keyword parameters are the one declaration
+of that domain's run spec — returning a fresh
+:class:`~repro.env.protocol.Environment`.  :class:`~repro.env.jobs.EnvJob`
+binds its parameters against that signature.  The conformance suite
 (``tests/test_env_protocol.py``) parametrizes over every registered
 name, so registering an adapter is what buys it the protocol
 guarantees (determinism, save/restore round-trip, backend identity).
 
-Importing :mod:`repro.env` eagerly registers the built-in adapters
-(sim, serve, cluster, toy) — same discipline as the experiment
-registry: no private bootstrap calls.
+The first registry query registers the built-in adapters (sim, serve,
+cluster, ops, toy) — same discipline as the experiment registry: no
+private bootstrap calls.
 """
 
 from __future__ import annotations
@@ -42,14 +44,11 @@ def _load_builtin_adapters() -> None:
     from ..sim import env as _sim_env  # noqa: F401
     from ..serve import env as _serve_env  # noqa: F401
     from ..cluster import env as _cluster_env  # noqa: F401
+    from ..ops import env as _ops_env  # noqa: F401
 
 
-def register_environment(
-    name: str, factory: EnvironmentFactory, *, overwrite: bool = True
-) -> None:
+def register_environment(name: str, factory: EnvironmentFactory) -> None:
     """Register an environment adapter (last registration wins)."""
-    if not overwrite and name in ENVIRONMENTS:
-        return
     ENVIRONMENTS[name] = factory
 
 
@@ -59,14 +58,18 @@ def available_environments() -> List[str]:
     return sorted(ENVIRONMENTS)
 
 
-def build_environment(name: str, **overrides) -> "Environment":
-    """Instantiate a registered adapter with keyword overrides."""
+def environment_factory(name: str) -> EnvironmentFactory:
+    """The factory registered under ``name`` (KeyError names the choices)."""
     _load_builtin_adapters()
     try:
-        factory = ENVIRONMENTS[name]
+        return ENVIRONMENTS[name]
     except KeyError:
         raise KeyError(
             f"unknown environment {name!r}; "
             f"available: {available_environments()}"
         ) from None
-    return factory(**overrides)
+
+
+def build_environment(name: str, **overrides) -> "Environment":
+    """Instantiate a registered adapter with keyword overrides."""
+    return environment_factory(name)(**overrides)

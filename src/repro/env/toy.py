@@ -76,6 +76,7 @@ class ToyRowCacheEnvironment(Environment):
 
     name = "toy"
     snapshot_kind = "toy-agent"
+    code_version = "toy-1"
 
     def __init__(
         self,
@@ -87,7 +88,6 @@ class ToyRowCacheEnvironment(Environment):
         row_space: int = 512,
         seed: int = 0,
         epsilon: float | None = None,
-        backend: str | None = None,
     ) -> None:
         from dataclasses import replace
 
@@ -98,7 +98,7 @@ class ToyRowCacheEnvironment(Environment):
         self._row_space = row_space
         self._seed = seed
         self.features = ToyRowFeatureExtractor()
-        config = replace(ChromeConfig(), sampled_sets=num_banks, backend=backend)
+        config = replace(ChromeConfig(), sampled_sets=num_banks)
         if epsilon is not None:
             config = replace(config, epsilon=epsilon)
         self.agent = AgentCore(
@@ -156,7 +156,8 @@ class ToyRowCacheEnvironment(Environment):
 
     # --- the Environment contract --------------------------------------------------
 
-    def run(self) -> Dict[str, object]:
+    def run(self, obs=None) -> Dict[str, object]:
+        """Run the stream; the result is a plain mapping (not instrumented)."""
         steps = run_steps(self.agent, self)
         accesses = self.hits + self.misses
         return {

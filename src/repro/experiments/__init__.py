@@ -1,9 +1,10 @@
 """Experiment harness: regenerate every table and figure of the paper.
 
 There is one way to run an experiment: every id maps to a plan builder
-(``scale -> ExperimentPlan``) holding declarative jobs (:class:`SimJob`
-and the serve/cluster/ops/env job kinds) plus a pure assembly step, and
-the parallel :class:`Engine` runs the plan.  The public surface is the
+(``scale -> ExperimentPlan``) holding declarative jobs — every one an
+:class:`~repro.env.jobs.EnvJob` naming an environment adapter (sim,
+serve, cluster, ops, toy) and its parameters — plus a pure assembly
+step, and the parallel :class:`Engine` runs the plan.  The public surface is the
 registry (:func:`register_experiment`, :func:`available_experiments`,
 :func:`get_plan`, :func:`run_experiment`), the job model and the
 engine.  Importing this package eagerly registers every paper artifact,
@@ -12,15 +13,7 @@ bootstrap calls.
 """
 
 from .engine import Engine, EngineStats, ExperimentPlan
-from .jobspec import (
-    MixSpec,
-    PolicySpec,
-    SimJob,
-    execute_job,
-    job_fingerprint,
-    job_for,
-    register_policy_factory,
-)
+from .jobspec import MixSpec, PolicySpec, job_for, register_policy_factory
 from .metrics import (
     MixMetrics,
     geometric_mean,
@@ -58,13 +51,10 @@ __all__ = [
     "PolicySpec",
     "ProgressReporter",
     "ResultCache",
-    "SimJob",
     "available_experiments",
     "chrome_with",
-    "execute_job",
     "geometric_mean",
     "get_plan",
-    "job_fingerprint",
     "job_for",
     "register_experiment",
     "register_policy_factory",

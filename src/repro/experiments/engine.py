@@ -1,12 +1,13 @@
 """Job-based parallel execution layer for the experiment harness.
 
-The engine takes the :class:`~repro.experiments.jobspec.SimJob` specs a
-figure declares (its :class:`ExperimentPlan`), deduplicates them against
-everything already completed this process (so e.g. the per-mix LRU
-baseline and the Fig. 6-9 shared suite run exactly once across *all*
-figures), consults the optional on-disk
+The engine takes the :class:`~repro.env.jobs.EnvJob` specs an
+experiment declares (its :class:`ExperimentPlan`) — the one job kind,
+whatever the domain — deduplicates them against everything already
+completed this process (so e.g. the per-mix LRU baseline and the
+Fig. 6-9 shared suite run exactly once across *all* figures), consults
+the optional on-disk
 :class:`~repro.experiments.result_cache.ResultCache`, and schedules the
-remaining simulations across a ``multiprocessing`` worker pool.
+remaining runs across a ``multiprocessing`` worker pool.
 
 Determinism guarantee: results are bit-identical for ``--jobs 1`` and
 ``--jobs 8``.  Each job carries its own RNG seeds inside the spec,
@@ -21,16 +22,15 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from ..env.jobs import EnvJob
 from ..obs import ObsConfig
-from ..sim.multicore import SystemResult
-from .jobspec import SimJob, execute_job
 from .progress import NullProgress, ProgressReporter
 from .report import ExperimentResult
 from .result_cache import ResultCache
 
-AssembleFn = Callable[[Mapping[SimJob, SystemResult]], ExperimentResult]
+AssembleFn = Callable[[Mapping[EnvJob, Any]], ExperimentResult]
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ class ExperimentPlan:
     """
 
     experiment_id: str
-    jobs: Tuple[SimJob, ...]
+    jobs: Tuple[EnvJob, ...]
     assemble: AssembleFn
 
 
@@ -60,10 +60,10 @@ class EngineStats:
 
 
 def _pool_run(
-    job: SimJob, obs: Optional[ObsConfig] = None
-) -> Tuple[SimJob, SystemResult, float]:
+    job: EnvJob, obs: Optional[ObsConfig] = None
+) -> Tuple[EnvJob, Any, float]:
     start = time.perf_counter()
-    result = execute_job(job, obs=obs)
+    result = job.execute(obs=obs)
     return job, result, time.perf_counter() - start
 
 
@@ -77,7 +77,7 @@ def _fork_context():
 
 
 class Engine:
-    """Schedules simulation jobs across workers, with dedup + caching."""
+    """Schedules jobs across workers, with dedup + caching."""
 
     def __init__(
         self,
@@ -90,7 +90,7 @@ class Engine:
         self.cache = ResultCache(cache_dir) if cache_dir else None
         self.progress = progress or NullProgress()
         self.stats = EngineStats()
-        self._memo: Dict[SimJob, SystemResult] = {}
+        self._memo: Dict[EnvJob, Any] = {}
         # Observability: the ObsConfig (picklable) is forwarded to
         # worker processes, which export per-job artifacts themselves;
         # the engine's own session records scheduling — wall-clock job
@@ -109,14 +109,14 @@ class Engine:
     # --- job execution ----------------------------------------------------------
 
     def run_jobs(
-        self, jobs: Sequence[SimJob], experiment_id: str = "jobs"
-    ) -> Dict[SimJob, SystemResult]:
+        self, jobs: Sequence[EnvJob], experiment_id: str = "jobs"
+    ) -> Dict[EnvJob, Any]:
         """Complete every job (order-independent), returning job -> result."""
-        unique: List[SimJob] = list(dict.fromkeys(jobs))
+        unique: List[EnvJob] = list(dict.fromkeys(jobs))
         self.progress.begin(experiment_id, len(unique))
         start = time.perf_counter()
-        results: Dict[SimJob, SystemResult] = {}
-        pending: List[SimJob] = []
+        results: Dict[EnvJob, Any] = {}
+        pending: List[EnvJob] = []
         executed = disk_hits = memo_hits = 0
 
         for job in unique:
@@ -170,7 +170,7 @@ class Engine:
             )
         return results
 
-    def _execute(self, pending: Sequence[SimJob]):
+    def _execute(self, pending: Sequence[EnvJob]):
         if self.workers <= 1 or len(pending) <= 1:
             for job in pending:
                 yield _pool_run(job, self.obs_config)

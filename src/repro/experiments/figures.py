@@ -2,7 +2,7 @@
 
 Each figure is written declaratively: a ``<id>_plan(scale)`` builder
 returns an :class:`~repro.experiments.engine.ExperimentPlan` holding the
-frozen :class:`~repro.experiments.jobspec.SimJob` specs the figure needs
+frozen sim :class:`~repro.env.jobs.EnvJob` specs the figure needs
 plus a *pure* ``assemble(results)`` step producing the
 :class:`~repro.experiments.report.ExperimentResult` with the same
 rows/series the paper reports.  The engine schedules jobs across worker
@@ -35,7 +35,8 @@ from ..traces.gap import GAP_TRACES
 from ..traces.mixes import random_mix_names
 from ..traces.spec import ALL_SPEC_WORKLOADS, representative_workloads
 from .engine import ExperimentPlan
-from .jobspec import MixSpec, PolicySpec, SimJob, job_for
+from ..env.jobs import EnvJob
+from .jobspec import MixSpec, PolicySpec, job_for
 from .metrics import (
     MixMetrics,
     geometric_mean,
@@ -49,7 +50,7 @@ from .runner import ExperimentScale
 
 SCHEMES: Tuple[str, ...] = tuple(PAPER_SCHEMES)
 
-JobResults = Mapping[SimJob, SystemResult]
+JobResults = Mapping[EnvJob, SystemResult]
 
 
 # --- shared suite runs (Figs. 6-9 reuse one set of simulations) --------------
@@ -102,7 +103,7 @@ def _homo_job(
     num_cores: int,
     policy: str | PolicySpec,
     prefetch: str = "nl_stride",
-) -> SimJob:
+) -> EnvJob:
     return job_for(scale, MixSpec.homogeneous(name, num_cores), policy, prefetch)
 
 
@@ -112,7 +113,7 @@ def _hetero_job(
     seed: int,
     policy: str | PolicySpec,
     prefetch: str = "nl_stride",
-) -> SimJob:
+) -> EnvJob:
     return job_for(
         scale, MixSpec.heterogeneous(tuple(names), seed=seed), policy, prefetch
     )
@@ -124,7 +125,7 @@ def _suite_jobs(
     num_cores: int,
     schemes: Sequence[str],
     prefetch: str = "nl_stride",
-) -> Tuple[Dict[str, SimJob], Dict[Tuple[str, str], SimJob]]:
+) -> Tuple[Dict[str, EnvJob], Dict[Tuple[str, str], EnvJob]]:
     """Per-workload LRU baselines plus one job per (workload, scheme)."""
     baselines = {
         name: _homo_job(scale, name, num_cores, "lru", prefetch)
@@ -139,8 +140,8 @@ def _suite_jobs(
 
 
 def _suite_metrics(
-    baselines: Dict[str, SimJob],
-    runs: Dict[Tuple[str, str], SimJob],
+    baselines: Dict[str, EnvJob],
+    runs: Dict[Tuple[str, str], EnvJob],
     results: JobResults,
 ) -> Dict[str, Dict[str, MixMetrics]]:
     """Assemble the suite view: workload -> scheme -> metrics vs LRU."""
@@ -150,8 +151,8 @@ def _suite_metrics(
     return out
 
 
-def _flat(*job_groups) -> Tuple[SimJob, ...]:
-    jobs: List[SimJob] = []
+def _flat(*job_groups) -> Tuple[EnvJob, ...]:
+    jobs: List[EnvJob] = []
     for group in job_groups:
         values = group.values() if isinstance(group, dict) else group
         jobs.extend(values)

@@ -1,10 +1,11 @@
-"""Declarative simulation-job specs for the parallel experiment engine.
+"""Sim job specs: the trace mix and LLC policy a simulation runs.
 
-A figure no longer *runs* simulations — it declares the frozen
-:class:`SimJob` specs it needs and a pure ``assemble`` step that turns
-the completed results into an
+A figure no longer *runs* simulations — it declares the jobs it needs
+and a pure ``assemble`` step that turns the completed results into an
 :class:`~repro.experiments.report.ExperimentResult` (see
-:mod:`repro.experiments.engine`).  A job is entirely self-describing:
+:mod:`repro.experiments.engine`).  A sim job is an
+:class:`~repro.env.jobs.EnvJob` of the ``sim`` environment
+(:class:`~repro.sim.env.SimEnvironment`), whose spec is built from:
 
 * :class:`MixSpec` — which traces to build (homogeneous copies of one
   workload, or one workload per core) and the mix seed;
@@ -13,29 +14,19 @@ the completed results into an
   hashable (policy instances never cross job boundaries, which is what
   makes ``--jobs 1`` and ``--jobs 8`` bit-identical);
 * the run-size fields copied from
-  :class:`~repro.experiments.runner.ExperimentScale`.
-
-:func:`execute_job` is the single entry point workers call; it builds
-traces, policy and machine from the spec alone, so a job executes
-identically inline, in a worker process, or on a cache replay.
+  :class:`~repro.experiments.runner.ExperimentScale` (:func:`job_for`).
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
-from ..sim.multicore import MultiCoreSystem, SystemConfig, SystemResult
+from ..env.jobs import EnvJob, env_job
 from ..sim.replacement.base import ReplacementPolicy
 from ..traces.mixes import heterogeneous_mix, homogeneous_mix
 from ..traces.trace import Trace
 from .runner import ExperimentScale, chrome_with, resolve_policy, scaled_sampled_sets
-
-#: Bump when simulator/policy semantics change in a way that should
-#: invalidate previously cached simulation results (see
-#: :mod:`repro.experiments.result_cache`).
-CODE_VERSION = "2"
 
 
 @dataclass(frozen=True)
@@ -144,51 +135,17 @@ class PolicySpec:
         return f"{self.factory}({inner})"
 
 
-@dataclass(frozen=True)
-class SimJob:
-    """One schedulable simulation: (mix, policy, prefetch, run size).
-
-    Frozen and hashable so the engine can deduplicate identical jobs
-    across figures and key the on-disk result cache.
-    """
-
-    mix: MixSpec
-    policy: PolicySpec
-    prefetch: str = "nl_stride"
-    machine_scale: float = ExperimentScale.machine_scale
-    accesses_per_core: int = ExperimentScale.accesses_per_core
-    warmup_per_core: int = ExperimentScale.warmup_per_core
-
-    @property
-    def label(self) -> str:
-        return f"{self.mix.label} {self.policy.label} {self.prefetch}"
-
-    def canonical(self) -> Tuple:
-        """A stable, literal-only tuple identifying this job."""
-        return (
-            self.mix.kind,
-            self.mix.names,
-            self.mix.num_cores,
-            self.mix.seed,
-            self.policy.factory,
-            self.policy.params,
-            self.prefetch,
-            self.machine_scale,
-            self.accesses_per_core,
-            self.warmup_per_core,
-        )
-
-
 def job_for(
     scale: ExperimentScale,
     mix: MixSpec,
     policy: str | PolicySpec,
     prefetch: str = "nl_stride",
-) -> SimJob:
-    """Bind a mix/policy pair to a scale's run-size fields."""
+) -> EnvJob:
+    """The sim job running a mix/policy pair at a scale's run size."""
     if isinstance(policy, str):
         policy = PolicySpec.named(policy)
-    return SimJob(
+    return env_job(
+        "sim",
         mix=mix,
         policy=policy,
         prefetch=prefetch,
@@ -196,65 +153,3 @@ def job_for(
         accesses_per_core=scale.accesses_per_core,
         warmup_per_core=scale.warmup_per_core,
     )
-
-
-def job_fingerprint(job, code_version: str = CODE_VERSION) -> str:
-    """Content hash for the on-disk result cache (spec + code version).
-
-    Works for any job kind exposing ``canonical()``; non-simulation
-    jobs namespace their tuple (e.g. serve jobs lead with ``"serve"``
-    and their own code version) so kinds can never collide.
-    """
-    payload = repr(("chrome-repro", code_version, job.canonical()))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def execute_job(job, obs=None):
-    """Run one job from its spec alone (pure given the spec).
-
-    Every job builds its own traces/requests and a fresh policy, each
-    seeded by the spec, so results do not depend on which process
-    executes the job or in which order — the engine's determinism
-    guarantee.
-
-    ``obs`` is an optional :class:`repro.obs.ObsConfig`; when given,
-    the executing process builds its own session, runs instrumented,
-    and exports artifacts labeled by the job's fingerprint — which is
-    what lets ``--jobs N`` worker processes each leave an aggregatable
-    record without sharing any live state.  Results are identical with
-    and without it.
-
-    :class:`SimJob` is executed here directly; any other job kind
-    (e.g. :class:`repro.serve.jobs.ServeJob`) supplies its own
-    ``execute()`` method and is dispatched to it, so the engine's
-    scheduling, dedup and caching are shared by every subsystem.
-    """
-    if not isinstance(job, SimJob):
-        execute = getattr(job, "execute", None)
-        if callable(execute):
-            return execute(obs=obs) if obs is not None else execute()
-        raise TypeError(
-            f"cannot execute job of type {type(job).__name__}: expected a "
-            "SimJob or a spec with an execute() method"
-        )
-    total = job.accesses_per_core + job.warmup_per_core
-    traces = job.mix.build(total, job.machine_scale)
-    config = SystemConfig(num_cores=job.mix.num_cores, scale=job.machine_scale)
-    session = None
-    if obs is not None:
-        label = f"sim-{job.mix.label}-{job.policy.label}-{job_fingerprint(job)[:10]}"
-        session = obs.session(label)
-    system = MultiCoreSystem(
-        config,
-        llc_policy=job.policy.build(job.machine_scale),
-        prefetch_config=job.prefetch,
-        obs=session,
-    )
-    result = system.run(
-        traces,
-        max_accesses_per_core=total,
-        warmup_accesses=job.warmup_per_core,
-    )
-    if session is not None:
-        session.export()
-    return result

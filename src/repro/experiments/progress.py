@@ -1,7 +1,7 @@
 """Per-job progress/timing lines for the experiment engine.
 
 The engine reports where every job's result came from — ``run`` (a
-fresh simulation), ``disk`` (the on-disk result cache) or ``memo``
+fresh run), ``disk`` (the on-disk result cache) or ``memo``
 (already completed earlier in this process, e.g. shared between
 figures) — with wall-clock timing, so a ``chrome-repro run all`` prints
 a live account of the dedup/cache wins.
@@ -12,7 +12,7 @@ from __future__ import annotations
 import sys
 from typing import Optional, TextIO
 
-from .jobspec import SimJob
+from ..env.jobs import EnvJob
 
 
 class ProgressReporter:
@@ -29,7 +29,7 @@ class ProgressReporter:
         if total_jobs:
             self._emit(f"[{experiment_id}] {total_jobs} job(s)")
 
-    def job_done(self, job: SimJob, source: str, seconds: float) -> None:
+    def job_done(self, job: EnvJob, source: str, seconds: float) -> None:
         self._done += 1
         if source == "memo":
             # Memo hits are free and frequent (shared suites); they are

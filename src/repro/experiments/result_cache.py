@@ -1,10 +1,10 @@
-"""On-disk memoization of completed simulation jobs.
+"""On-disk memoization of completed jobs.
 
-Results are keyed by a content hash of the full job spec plus
-:data:`~repro.experiments.jobspec.CODE_VERSION`, so a warm cache makes
-re-runs and cross-figure overlaps free while any change to the spec (or
-a simulator-semantics version bump) transparently invalidates the
-entry.  Corrupt or unreadable entries are treated as misses — the cache
+Results are keyed by :attr:`~repro.env.jobs.EnvJob.fingerprint` — a
+content hash of the full job spec plus the adapter's ``code_version`` —
+so a warm cache makes re-runs and cross-figure overlaps free while any
+change to the spec (or a domain-semantics version bump) transparently
+invalidates the entry.  Corrupt or unreadable entries are treated as misses — the cache
 can never change results, only skip work.
 """
 
@@ -14,18 +14,16 @@ import os
 import pickle
 import tempfile
 from pathlib import Path
-from typing import Optional
+from typing import Any, Optional
 
-from ..sim.multicore import SystemResult
-from .jobspec import CODE_VERSION, SimJob, job_fingerprint
+from ..env.jobs import EnvJob
 
 
 class ResultCache:
-    """A directory of pickled :class:`SystemResult`, one file per job."""
+    """A directory of pickled job results, one file per job."""
 
-    def __init__(self, root: str | os.PathLike, code_version: str = CODE_VERSION):
+    def __init__(self, root: str | os.PathLike):
         self.root = Path(root)
-        self.code_version = code_version
         try:
             self.root.mkdir(parents=True, exist_ok=True)
         except (FileExistsError, NotADirectoryError):
@@ -33,10 +31,10 @@ class ResultCache:
                 f"cache dir {str(self.root)!r} exists and is not a directory"
             ) from None
 
-    def path(self, job: SimJob) -> Path:
-        return self.root / f"{job_fingerprint(job, self.code_version)}.pkl"
+    def path(self, job: EnvJob) -> Path:
+        return self.root / f"{job.fingerprint}.pkl"
 
-    def get(self, job: SimJob) -> Optional[SystemResult]:
+    def get(self, job: EnvJob) -> Optional[Any]:
         path = self.path(job)
         try:
             with path.open("rb") as fh:
@@ -51,7 +49,7 @@ class ResultCache:
                 pass
             return None
 
-    def put(self, job: SimJob, result: SystemResult) -> None:
+    def put(self, job: EnvJob, result: Any) -> None:
         path = self.path(job)
         # Atomic publish so concurrent runs sharing a cache dir never
         # observe a half-written entry.

@@ -1,6 +1,6 @@
 """Run sizes and LLC policy construction shared by every experiment.
 
-Experiments are plans of :class:`~repro.experiments.jobspec.SimJob`
+Experiments are plans of :class:`~repro.env.jobs.EnvJob`
 specs executed by the :class:`~repro.experiments.engine.Engine`; this
 module holds what those specs are built from: :class:`ExperimentScale`
 (run size) and :func:`resolve_policy` / :func:`chrome_with` (the

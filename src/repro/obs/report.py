@@ -2,7 +2,7 @@
 
 One obs directory may hold artifacts from many sessions — the engine's
 scheduling record plus one per executed job (worker processes export
-their own; see :func:`repro.experiments.jobspec.execute_job`).  This
+their own; see :meth:`repro.env.jobs.EnvJob.execute`).  This
 module aggregates across all of them: counter totals, per-stream
 timeline digests (final C-AMAT / obstruction / reward mix for
 simulations, hit ratios / breaker state / degradation for serve runs,

@@ -90,7 +90,7 @@ class OpsConfig:
         )
 
     def params(self) -> Params:
-        """Spec-tuple form for embedding in a frozen OpsJob."""
+        """Spec-tuple form for embedding in an ``ops`` job's ``ops_params``."""
         return tuple((f.name, getattr(self, f.name)) for f in fields(self))
 
     @classmethod

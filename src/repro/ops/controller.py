@@ -42,9 +42,8 @@ from typing import Dict, List, Optional, Sequence
 from ..core.config import ACTION_BYPASS
 from ..obs.signals import SignalReader, WindowSignals
 from ..serve.config import LatencyConfig, ServiceConfig
-from ..serve.metrics import MetricsRecorder, ServeMetrics
-from ..serve.service import CacheService, drive_requests
-from ..serve.store import ObjectStore
+from ..serve.metrics import ServeMetrics
+from ..serve.service import configured_service, drive_requests
 from ..serve.workloads import Request
 from .config import OpsConfig
 from .events import (
@@ -320,7 +319,11 @@ class OpsController:
 
     def _emit(self, event) -> None:
         if self._obs is not None:
-            self._obs.timeline.record("ops_event", **event.to_dict())
+            # The timeline row's own ``kind`` is "ops_event"; the event
+            # kind rides under ``event``.
+            row = event.to_dict()
+            row["event"] = row.pop("kind")
+            self._obs.timeline.record("ops_event", **row)
 
     # --- results --------------------------------------------------------------------
 
@@ -348,45 +351,14 @@ def run_ops(
 ) -> OpsResult:
     """Run a single champion service under the ops control loop.
 
-    Mirrors :func:`~repro.serve.service.run_configured` exactly — with
-    an all-defaults (inert) :class:`OpsConfig` the champion metrics are
-    byte-identical to a plain ``run_configured`` run, and with a shadow
-    attached they *still* are (the zero-impact contract the ops tests
-    and goldens pin).
+    The champion is built exactly as :func:`~repro.serve.service.run_configured`
+    builds its service — with an all-defaults (inert) :class:`OpsConfig`
+    the champion metrics are byte-identical to a plain
+    ``run_configured`` run, and with a shadow attached they *still* are
+    (the zero-impact contract the ops tests and goldens pin).
     """
-    policy = config.build_policy()
-    recorder = MetricsRecorder(
-        policy=policy.name,
-        workload=config.workload_name,
-        checkpoint_every=config.checkpoint_every,
-    )
-    store = ObjectStore(config.capacity_bytes, config.num_segments, policy)
-    service = CacheService(
-        store,
-        recorder=recorder,
-        warmup_requests=config.warmup_requests,
-        obs=obs,
-        config=config,
-    )
-    from ..core.backend import resolve_backend
-
-    if resolve_backend(config.backend) == "numpy":
-        keys = [req.key for req in requests]
-        for start in range(0, len(keys), 4096):
-            store.preclassify(keys[start : start + 4096])
-    shadow = ShadowHarness(config, ops) if ops.shadow_enabled else None
-    controller = OpsController(
-        service,
-        ops,
-        latency=config.latency,
-        shadow=shadow,
-        obs=obs,
-    )
-    drive_requests(service, requests, config.num_clients)
-    metrics = recorder.finalize()
-    metrics.telemetry = dict(policy.telemetry())
-    service.obs_summary(metrics)
-    return controller.result(metrics)
+    service = configured_service(config, obs=obs, requests=requests)
+    return drive_ops(service, requests, config, ops, obs=obs)
 
 
 def run_cluster_ops(
@@ -430,13 +402,31 @@ def run_cluster_ops(
         kill_faults=kill_faults,
         obs=obs,
     )
+    return drive_ops(cluster, requests, config, ops, obs=obs)
+
+
+def drive_ops(
+    champion,
+    requests: Sequence[Request],
+    config: ServiceConfig,
+    ops: OpsConfig,
+    *,
+    obs=None,
+) -> OpsResult:
+    """Drive a built champion (service or fleet) under the control loop.
+
+    ``champion`` is anything with the service surface the controller
+    speaks (``process``/``finalize``, the ops tap, signal recorders and
+    the agent-snapshot seam): a :class:`~repro.serve.service.CacheService`
+    or a :class:`~repro.cluster.cluster.ClusterService`.
+    """
     shadow = ShadowHarness(config, ops) if ops.shadow_enabled else None
     controller = OpsController(
-        cluster,
+        champion,
         ops,
         latency=config.latency,
         shadow=shadow,
         obs=obs,
     )
-    drive_requests(cluster, requests, config.num_clients)
-    return controller.result(cluster.finalize())
+    drive_requests(champion, requests, config.num_clients)
+    return controller.result(champion.finalize())

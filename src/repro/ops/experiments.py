@@ -73,10 +73,11 @@ def ops_job(
     ops_params=(),
     seed: int = 0,
 ):
+    from ..env.jobs import env_job
     from ..serve.experiments import NUM_SEGMENTS, serve_capacity
-    from .jobs import OpsJob
 
-    return OpsJob(
+    return env_job(
+        "ops",
         workload="phases",
         policy="chrome",
         num_requests=scale.accesses_per_core,

@@ -22,8 +22,8 @@ promotion decision built on them) reproducible.
 from __future__ import annotations
 
 from ..serve.config import ServiceConfig
-from ..serve.metrics import MetricsRecorder, ServeMetrics
-from ..serve.service import CacheService
+from ..serve.metrics import ServeMetrics
+from ..serve.service import configured_service
 from ..serve.workloads import Request
 from .config import OpsConfig
 
@@ -38,21 +38,12 @@ class ShadowHarness:
             policy=ops.challenger_policy,
             policy_params=ops.challenger_params,
         )
-        self.policy = self.config.build_policy()
-        self.recorder = MetricsRecorder(
-            policy=self.policy.name,
-            workload=self.config.workload_name,
-        )
-        store = self.config.build_store(self.policy)
         # Same warmup boundary as the champion: both recorders start
         # measuring at the same global seq, so per-window deltas always
         # compare the same traffic slice.
-        self.service = CacheService(
-            store,
-            recorder=self.recorder,
-            warmup_requests=self.config.warmup_requests,
-            config=self.config,
-        )
+        self.service = configured_service(self.config)
+        self.policy = self.service.store.policy
+        self.recorder = self.service.recorder
 
     def process(self, seq: int, req: Request) -> bool:
         """Replay one champion request into the challenger."""
@@ -63,6 +54,4 @@ class ShadowHarness:
         return self.service.agent_states()
 
     def finalize(self) -> ServeMetrics:
-        metrics = self.recorder.finalize()
-        metrics.telemetry = dict(self.policy.telemetry())
-        return metrics
+        return self.service.finalize()

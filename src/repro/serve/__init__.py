@@ -21,15 +21,14 @@ stale serving, load shedding) — all bit-identical at any client count.
 Importing this package registers the ``serve_zipf``,
 ``serve_multitenant``, ``serve_phases``, ``serve_proxy_burst``,
 ``serve_retrieval``, ``serve_storage`` and ``serve_faults``
-experiments with the shared registry; their
-:class:`~repro.serve.jobs.ServeJob` specs run on the parallel
-experiment engine like every paper figure.
+experiments with the shared registry; their ``serve``
+:class:`~repro.env.jobs.EnvJob` specs (:mod:`repro.serve.env`) run on
+the parallel experiment engine like every paper figure.
 """
 
 from .agent import BackendObstructionMonitor, ChromeServePolicy, ServeAgent
 from .config import ServiceConfig
 from .faults import FaultConfig, FaultInjector
-from .jobs import SERVE_CODE_VERSION, ServeJob
 from .metrics import MetricsRecorder, ServeMetrics, TenantMetrics
 from .resilience import (
     BREAKER_CLOSED,
@@ -93,10 +92,8 @@ __all__ = [
     "ResilienceConfig",
     "ResilienceState",
     "S3FIFOServePolicy",
-    "SERVE_CODE_VERSION",
     "SERVE_POLICIES",
     "ServeAgent",
-    "ServeJob",
     "ServeMetrics",
     "ServePolicy",
     "ServiceConfig",

@@ -232,7 +232,7 @@ class ServeAgent(AgentCore):
     ) -> None:
         config = config or ChromeConfig()
         self.features = ServeFeatureExtractor()
-        # Job-spec seeding, mirroring SimJob: the exploration RNG is a
+        # Job-spec seeding, as in the LLC policy: the exploration RNG is a
         # pure function of (config seed, job seed) — nothing ambient.
         AgentCore.__init__(
             self,

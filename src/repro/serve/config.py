@@ -1,28 +1,26 @@
 """The unified serve runtime configuration: one frozen spec per service.
 
-Before this module the serving layer's knobs were scattered across
-the :class:`~repro.serve.service.CacheService` signature and a kwargs
-run function (latency model, fault model, resilience policy, capacity,
-warmup, client count, ...) and re-flattened into ``ServeJob``'s
-parallel ``*_params`` tuples.  :class:`ServiceConfig` collapses that surface
-into a single frozen dataclass:
+:class:`ServiceConfig` is the single frozen description of one service
+end to end:
 
-* **one object describes one service end to end** — store geometry,
-  policy (by name + literal params, so the config stays picklable and
-  hashable), driver concurrency, warmup, checkpointing, the virtual-
-  time :class:`LatencyConfig`, and the optional
+* **one object describes one service** — store geometry, policy (by
+  name + literal params, so the config stays picklable and hashable),
+  driver concurrency, warmup, checkpointing, the virtual-time
+  :class:`LatencyConfig`, and the optional
   :class:`~repro.serve.faults.FaultConfig` /
-  :class:`~repro.serve.resilience.ResilienceConfig`;
+  :class:`~repro.serve.resilience.ResilienceConfig`.  It is the only
+  source of a :class:`~repro.serve.service.CacheService`'s latency
+  model, faults, resilience and warmup boundary;
 * **builders live with the config** — :meth:`ServiceConfig.build_policy`
   reproduces the job-spec RNG-seeding discipline,
-  :meth:`ServiceConfig.from_params` accepts the spec-tuple forms frozen
-  job dataclasses carry, and :meth:`ServiceConfig.for_shard` derives a
-  per-shard variant (fresh policy/fault seeds, same shape) so a
-  cluster builds N shards from one config;
+  :meth:`ServiceConfig.from_params` accepts the spec-tuple forms the
+  environment adapters carry, and :meth:`ServiceConfig.for_shard`
+  derives a per-shard variant (fresh policy/fault seeds, same shape)
+  so a cluster builds N shards from one config;
 * **one way to run** — :func:`~repro.serve.service.run_configured`
   takes ``(requests, config)`` (plus an optional pre-built policy for
-  warm starts).  ``CacheService(...)`` still accepts its individual
-  kwargs, which win over the config's fields when given.
+  warm starts), and :func:`~repro.serve.service.configured_service`
+  is the one construction path for a configured single service.
 
 :class:`LatencyConfig` moved here from :mod:`repro.serve.service`
 (which re-exports it) so the config module has no import cycle with
@@ -39,7 +37,7 @@ from .faults import FaultConfig
 from .policies import ServePolicy, make_serve_policy
 from .resilience import ResilienceConfig
 
-#: the spec-tuple form frozen job dataclasses embed: ((name, value), ...)
+#: the spec-tuple form environment parameters carry: ((name, value), ...)
 Params = Tuple[Tuple[str, object], ...]
 
 #: policies whose exploration RNG is seeded from the config seed
@@ -95,8 +93,8 @@ class ServiceConfig:
     """Everything one :class:`~repro.serve.service.CacheService` run needs.
 
     Frozen and literal-only (policies by name, sub-configs as frozen
-    dataclasses), so a config can sit inside job specs, cross process
-    boundaries, and key caches exactly like the job dataclasses do.
+    dataclasses), so a config can cross process boundaries and key
+    caches exactly like job specs do.
     """
 
     capacity_bytes: int
@@ -124,11 +122,11 @@ class ServiceConfig:
         resilience_params: Params = (),
         **kwargs,
     ) -> "ServiceConfig":
-        """Build from the spec-tuple forms frozen jobs carry.
+        """Build from the spec-tuple forms the environment adapters carry.
 
-        ``fault_params`` / ``resilience_params`` follow the ServeJob
-        conventions (empty = none / default); every other keyword maps
-        straight onto a :class:`ServiceConfig` field.
+        ``fault_params`` / ``resilience_params`` follow the serve
+        adapter's conventions (empty = none / default); every other
+        keyword maps straight onto a :class:`ServiceConfig` field.
         """
         return cls(
             faults=build_fault_config(fault_params),
@@ -194,7 +192,8 @@ class ServiceConfig:
         when ``policy`` is omitted) against its own isolated store.  It
         never sees injected faults or resilience machinery — shadow
         evaluation compares *cache policies*, and the champion's fault
-        stream must not leak into the challenger's reward signal.  The
+        stream must not leak into the challenger's reward signal — and
+        keeps no metric checkpoints (only per-window deltas).  The
         derived seed is a pure function of the champion seed, so shadow
         runs rebuild identically in any process.
         """
@@ -205,6 +204,7 @@ class ServiceConfig:
                 policy_params if policy_params is not None else self.policy_params
             ),
             seed=mix_hash((self.seed << 24) ^ 0xC7A11E),
+            checkpoint_every=0,
             faults=None,
             resilience=None,
         )

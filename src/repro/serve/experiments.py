@@ -3,7 +3,8 @@
 Seven experiments register at import time (importing
 :mod:`repro.experiments` — or :mod:`repro.serve` — is enough), each a
 declarative :class:`~repro.experiments.engine.ExperimentPlan` over
-:class:`~repro.serve.jobs.ServeJob` specs:
+``serve`` :class:`~repro.env.jobs.EnvJob` specs
+(:class:`~repro.serve.env.ServeEnvironment`):
 
 * ``serve_zipf``        — Zipf traffic polluted by periodic one-shot
   scans: the admission benchmark (can a policy refuse bytes that will
@@ -36,14 +37,13 @@ memoization for free.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import List, Mapping, Tuple
 
+from ..env.jobs import EnvJob, env_job
 from ..experiments.engine import ExperimentPlan
 from ..experiments.registry import register_experiment
 from ..experiments.report import ExperimentResult
 from ..experiments.runner import ExperimentScale
-from .jobs import ServeJob
 from .metrics import ServeMetrics
 
 #: every serve experiment compares these policies (CHROME last so the
@@ -65,13 +65,10 @@ def serve_capacity(scale: ExperimentScale) -> int:
 
 
 def _serve_job(
-    scale: ExperimentScale,
-    workload: str,
-    policy: str,
-    workload_params: Tuple[Tuple[str, object], ...] = (),
-    seed: int = 0,
-) -> ServeJob:
-    return ServeJob(
+    scale: ExperimentScale, workload: str, policy: str, **params
+) -> EnvJob:
+    return env_job(
+        "serve",
         workload=workload,
         policy=policy,
         num_requests=scale.accesses_per_core,
@@ -79,13 +76,12 @@ def _serve_job(
         capacity_bytes=serve_capacity(scale),
         num_segments=NUM_SEGMENTS,
         num_clients=8,
-        seed=seed,
-        workload_params=workload_params,
+        **params,
     )
 
 
 def _policy_rows(
-    jobs: Mapping[str, ServeJob], results: Mapping[ServeJob, ServeMetrics]
+    jobs: Mapping[str, EnvJob], results: Mapping[EnvJob, ServeMetrics]
 ) -> List[List[object]]:
     rows: List[List[object]] = []
     for policy, job in jobs.items():
@@ -116,7 +112,7 @@ _COLUMNS = [
 
 
 def _chrome_vs_lru_note(
-    jobs: Mapping[str, ServeJob], results: Mapping[ServeJob, ServeMetrics]
+    jobs: Mapping[str, EnvJob], results: Mapping[EnvJob, ServeMetrics]
 ) -> str:
     chrome = results[jobs["chrome"]]
     lru = results[jobs["lru"]]
@@ -132,15 +128,14 @@ def _comparison_plan(
     title: str,
     workload: str,
     scale: ExperimentScale,
-    workload_params: Tuple[Tuple[str, object], ...] = (),
     extra_notes=None,
 ) -> ExperimentPlan:
     jobs = {
-        policy: _serve_job(scale, workload, policy, workload_params)
+        policy: _serve_job(scale, workload, policy)
         for policy in SERVE_POLICIES_COMPARED
     }
 
-    def assemble(results: Mapping[ServeJob, ServeMetrics]) -> ExperimentResult:
+    def assemble(results: Mapping[EnvJob, ServeMetrics]) -> ExperimentResult:
         notes = [_chrome_vs_lru_note(jobs, results)]
         if extra_notes is not None:
             notes.extend(extra_notes(jobs, results))
@@ -266,13 +261,15 @@ def serve_faults_plan(scale: ExperimentScale) -> ExperimentPlan:
             ("naive", NAIVE_PARAMS),
             ("resilient", resilient_params(scale)),
         ):
-            jobs[(policy, mode)] = replace(
-                _serve_job(scale, "zipf_scan", policy),
+            jobs[(policy, mode)] = _serve_job(
+                scale,
+                "zipf_scan",
+                policy,
                 fault_params=fault_params,
                 resilience_params=resilience_params,
             )
 
-    def assemble(results: Mapping[ServeJob, ServeMetrics]) -> ExperimentResult:
+    def assemble(results: Mapping[EnvJob, ServeMetrics]) -> ExperimentResult:
         rows: List[List[object]] = []
         notes: List[str] = []
         for policy in FAULT_POLICIES:

@@ -80,7 +80,7 @@ class FaultConfig:
     brownout_multiplier: float = 3.0
 
     def params(self) -> Tuple[Tuple[str, object], ...]:
-        """Spec-tuple form for embedding in a frozen ServeJob."""
+        """Spec-tuple form for embedding in a frozen job spec."""
         from dataclasses import fields
 
         return tuple((f.name, getattr(self, f.name)) for f in fields(self))

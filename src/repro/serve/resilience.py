@@ -102,7 +102,7 @@ class ResilienceConfig:
         )
 
     def params(self) -> Tuple[Tuple[str, object], ...]:
-        """Spec-tuple form for embedding in a frozen ServeJob."""
+        """Spec-tuple form for embedding in a frozen job spec."""
         return tuple((f.name, getattr(self, f.name)) for f in fields(self))
 
 

@@ -46,7 +46,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .agent import BackendObstructionMonitor
 from .config import LatencyConfig, ServiceConfig
-from .faults import FaultConfig, FaultInjector
+from .faults import FaultInjector
 from .metrics import MetricsRecorder, ServeMetrics
 from .policies import ServePolicy
 from .resilience import ResilienceConfig, ResilienceState
@@ -106,35 +106,21 @@ class CacheService:
     def __init__(
         self,
         store: ObjectStore,
-        latency: Optional[LatencyConfig] = None,
-        monitor: Optional[BackendObstructionMonitor] = None,
+        config: ServiceConfig,
+        *,
         recorder: Optional[MetricsRecorder] = None,
-        warmup_requests: int = 0,
-        faults: Optional[FaultConfig] = None,
-        resilience: Optional[ResilienceConfig] = None,
         obs=None,
-        config: Optional[ServiceConfig] = None,
     ) -> None:
-        # ``config`` is the consolidated spec (see serve/config.py); the
-        # individual kwargs remain as the legacy surface and, when given
-        # explicitly, win over the config's fields.
-        if config is not None:
-            latency = latency or config.latency
-            faults = faults if faults is not None else config.faults
-            resilience = (
-                resilience if resilience is not None else config.resilience
-            )
-            if warmup_requests == 0:
-                warmup_requests = config.warmup_requests
+        # ``config`` is the one source of the latency model, faults,
+        # resilience and warmup boundary (see serve/config.py).
         self.config = config
         self.store = store
-        self.latency = latency or LatencyConfig()
+        self.latency = config.latency or LatencyConfig()
         self.backend = Backend(self.latency)
-        self.monitor = monitor or BackendObstructionMonitor(
-            self.latency.backend_base_ms
-        )
+        self.monitor = BackendObstructionMonitor(self.latency.backend_base_ms)
         self.recorder = recorder
-        self.warmup_requests = warmup_requests
+        self.warmup_requests = config.warmup_requests
+        faults, resilience = config.faults, config.resilience
         self.injector = FaultInjector(faults) if faults is not None else None
         # The degraded pipeline engages when faults are injected OR a
         # resilience policy is explicitly requested; a plain service
@@ -147,7 +133,7 @@ class CacheService:
             self.resilience = None
         if recorder is not None:
             store.recorder = recorder
-            recorder.set_measuring(warmup_requests == 0)
+            recorder.set_measuring(self.warmup_requests == 0)
         # Let learned policies see the obstruction signal.
         bind = getattr(store.policy, "bind_obstruction", None)
         if callable(bind):
@@ -437,6 +423,13 @@ class CacheService:
                         f"breaker.{state}", ts_us, args={"tenant": tenant}
                     )
 
+    def finalize(self) -> ServeMetrics:
+        """The run's metrics, with policy telemetry and the obs summary."""
+        metrics = self.recorder.finalize()
+        metrics.telemetry = dict(self.store.policy.telemetry())
+        self.obs_summary(metrics)
+        return metrics
+
     def obs_summary(self, metrics: ServeMetrics) -> None:
         """Record the end-of-run summary row (called after finalize)."""
         obs = self._obs
@@ -530,6 +523,44 @@ def drive_requests(
         asyncio.run(_gather_clients(service, requests, num_clients))
 
 
+def configured_service(
+    config: ServiceConfig,
+    *,
+    policy: Optional[ServePolicy] = None,
+    obs=None,
+    requests: Sequence[Request] = (),
+) -> CacheService:
+    """The one construction path for a configured single service.
+
+    Builds the recorder, store and :class:`CacheService` one
+    :class:`ServiceConfig` describes.  ``policy`` optionally supplies a
+    pre-built policy instance (warm starts, snapshot seams); when
+    omitted the config builds its own, RNG-seeded from the config seed.
+    With the numpy backend, ``requests`` are pre-classified into the
+    store's segment memo in chunked vectorized sweeps, so the driver's
+    per-request ``segment_of`` calls become dict hits — purely a
+    throughput knob: the memo holds exactly what the scalar hash
+    returns.
+    """
+    if policy is None:
+        policy = config.build_policy()
+    recorder = MetricsRecorder(
+        policy=policy.name,
+        workload=config.workload_name,
+        checkpoint_every=config.checkpoint_every,
+    )
+    store = config.build_store(policy)
+    service = CacheService(store, config, recorder=recorder, obs=obs)
+    if requests:
+        from ..core.backend import resolve_backend
+
+        if resolve_backend(config.backend) == "numpy":
+            keys = [req.key for req in requests]
+            for start in range(0, len(keys), 4096):
+                store.preclassify(keys[start : start + 4096])
+    return service
+
+
 def run_configured(
     requests: Sequence[Request],
     config: ServiceConfig,
@@ -543,8 +574,7 @@ def run_configured(
     every knob (geometry, policy, latency model, faults, resilience,
     driver concurrency, warmup, checkpointing), and the run is a pure
     function of (requests, config).  ``policy`` optionally supplies a
-    pre-built policy instance (warm starts, legacy callers); when
-    omitted the config builds its own, RNG-seeded from the config seed.
+    pre-built policy instance (see :func:`configured_service`).
 
     ``config.num_clients`` controls only the *concurrency shape* of
     the driver; metrics are bit-identical for any client count (the
@@ -554,38 +584,8 @@ def run_configured(
     excluded from the reported metrics, mirroring the simulator's
     warmup convention.  ``obs`` (a :class:`repro.obs.ObsSession`) opts
     the run into telemetry sampling; exporting the artifacts is the
-    caller's job (see :meth:`ServeJob.execute
-    <repro.serve.jobs.ServeJob>`).
+    caller's job (see :meth:`repro.env.jobs.EnvJob.execute`).
     """
-    if policy is None:
-        policy = config.build_policy()
-    recorder = MetricsRecorder(
-        policy=policy.name,
-        workload=config.workload_name,
-        checkpoint_every=config.checkpoint_every,
-    )
-    store = ObjectStore(config.capacity_bytes, config.num_segments, policy)
-    service = CacheService(
-        store,
-        recorder=recorder,
-        warmup_requests=config.warmup_requests,
-        obs=obs,
-        config=config,
-    )
-    from ..core.backend import resolve_backend
-
-    if resolve_backend(config.backend) == "numpy":
-        # Chunked pre-classification (numpy backend): hash each chunk
-        # of request keys into the store's segment memo in one
-        # vectorized sweep, so both drivers' per-request segment_of
-        # calls become dict hits.  Purely a throughput knob — the memo
-        # holds exactly what the scalar hash returns.
-        keys = [req.key for req in requests]
-        for start in range(0, len(keys), 4096):
-            store.preclassify(keys[start : start + 4096])
+    service = configured_service(config, policy=policy, obs=obs, requests=requests)
     drive_requests(service, requests, config.num_clients)
-    metrics = recorder.finalize()
-    metrics.telemetry = dict(policy.telemetry())
-    service.obs_summary(metrics)
-    return metrics
-
+    return service.finalize()

@@ -787,7 +787,7 @@ WORKLOADS: Dict[str, WorkloadFn] = {
 def build_workload(
     name: str, num_requests: int, seed: int = 0, **params
 ) -> List[Request]:
-    """Build a named request stream (the :class:`ServeJob` entry point).
+    """Build a named request stream (the serve adapters' entry point).
 
     Unknown names raise a :class:`KeyError` that lists the registry and
     suggests the nearest spelling; unknown knobs raise a

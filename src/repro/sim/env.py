@@ -1,86 +1,77 @@
 """The LLC simulator as an :class:`~repro.env.protocol.Environment`.
 
-The sim domain binding: a :class:`~repro.sim.multicore.MultiCoreSystem`
-epoch loop driving :class:`~repro.core.chrome.ChromePolicy` (the LLC
-binding of the shared :class:`~repro.env.driver.AgentCore`).  The
-adapter owns nothing the simulator does not already provide — it maps
-the protocol's run/snapshot contract onto the existing machinery:
+The sim domain binding: one :class:`~repro.sim.multicore.MultiCoreSystem`
+run of a trace mix under an LLC policy.  The adapter's keyword
+parameters are the whole spec of a simulation job:
 
-* features/obstruction: bound by ``MultiCoreSystem.__init__`` itself
-  (``bind_camat`` + the epoch listener);
-* ``run()``: one homogeneous mix through ``MultiCoreSystem.run`` with
-  the standard warmup convention, summarized into a picklable mapping;
-* snapshots: the ``chrome-agent`` persistence kind.
+* ``mix`` — a :class:`~repro.experiments.jobspec.MixSpec` (which traces
+  to build, and the mix seed);
+* ``policy`` — a :class:`~repro.experiments.jobspec.PolicySpec` (a
+  policy *factory name* plus literal parameters, so the spec stays
+  picklable and hashable: policy instances never cross job boundaries,
+  which is what makes ``--jobs 1`` and ``--jobs 8`` bit-identical);
+* ``prefetch`` and the run-size fields of
+  :class:`~repro.experiments.runner.ExperimentScale`.
+
+``run()`` builds the traces and the machine from the spec alone and
+returns the :class:`~repro.sim.multicore.SystemResult`, so a job
+executes identically inline, in a worker process, or on a cache
+replay.  The policy is built at construction, so the snapshot seam
+(the ``chrome-agent`` persistence kind) is reachable before and after
+the run.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Dict, List, Optional
+from typing import List
 
-from ..core.chrome import ChromePolicy
-from ..core.config import ChromeConfig
 from ..core.persistence import agent_state
 from ..env.driver import restore_agent_state
 from ..env.protocol import Environment
 from ..env.registry import register_environment
-from ..traces.mixes import homogeneous_mix
-from .multicore import MultiCoreSystem, SystemConfig
+from ..experiments.jobspec import MixSpec, PolicySpec
+from ..experiments.runner import ExperimentScale
+from .multicore import MultiCoreSystem, SystemConfig, SystemResult
 
 
 class SimEnvironment(Environment):
-    """One CHROME-managed simulated machine, run to completion."""
+    """One simulated machine, run to completion under one LLC policy."""
 
     name = "sim"
     snapshot_kind = "chrome-agent"
+    code_version = "2"
 
     def __init__(
         self,
         *,
-        workload: str = "mcf06",
-        num_cores: int = 2,
-        accesses_per_core: int = 1200,
-        warmup_accesses: int = 300,
-        seed: int = 7,
-        scale: float = 1 / 64,
-        sampled_sets: int = 16,
-        backend: Optional[str] = None,
+        mix: MixSpec,
+        policy: PolicySpec,
+        prefetch: str = "nl_stride",
+        machine_scale: float = ExperimentScale.machine_scale,
+        accesses_per_core: int = ExperimentScale.accesses_per_core,
+        warmup_per_core: int = ExperimentScale.warmup_per_core,
     ) -> None:
-        self._workload = workload
-        self._accesses = accesses_per_core
-        self._warmup = warmup_accesses
-        self._seed = seed
-        self._scale = scale
-        self.policy = ChromePolicy(
-            replace(ChromeConfig(), sampled_sets=sampled_sets, backend=backend)
-        )
-        self.system = MultiCoreSystem(
-            SystemConfig(num_cores=num_cores, scale=scale, backend=backend),
-            llc_policy=self.policy,
-        )
+        self.mix = mix
+        self.prefetch = prefetch
+        self.machine_scale = machine_scale
+        self.accesses_per_core = accesses_per_core
+        self.warmup_per_core = warmup_per_core
+        self.policy = policy.build(machine_scale)
 
-    def run(self) -> Dict[str, object]:
-        traces = homogeneous_mix(
-            self._workload,
-            self.system.config.num_cores,
-            self._accesses + self._warmup,
-            seed=self._seed,
-            scale=self._scale,
+    def run(self, obs=None) -> SystemResult:
+        total = self.accesses_per_core + self.warmup_per_core
+        traces = self.mix.build(total, self.machine_scale)
+        system = MultiCoreSystem(
+            SystemConfig(num_cores=self.mix.num_cores, scale=self.machine_scale),
+            llc_policy=self.policy,
+            prefetch_config=self.prefetch,
+            obs=obs,
         )
-        result = self.system.run(
+        return system.run(
             traces,
-            max_accesses_per_core=self._accesses,
-            warmup_accesses=self._warmup,
+            max_accesses_per_core=total,
+            warmup_accesses=self.warmup_per_core,
         )
-        llc = result.llc_stats
-        return {
-            "policy": result.policy_name,
-            "ipcs": list(result.ipcs),
-            "llc_accesses": llc.demand_accesses,
-            "llc_hits": llc.demand_hits,
-            "llc_misses": llc.demand_misses,
-            "telemetry": dict(self.policy.telemetry()),
-        }
 
     def agent_states(self) -> List[dict]:
         return [agent_state(self.policy, self.snapshot_kind)]

@@ -86,10 +86,17 @@ def _parse(argv):
     return _build_parser().parse_args(argv)
 
 
+def _spec(job):
+    """A job's parameters, readable as attributes."""
+    from types import SimpleNamespace
+
+    return SimpleNamespace(**job.params)
+
+
 def test_cluster_flags_reach_cluster_job():
     from repro.cli import _cluster_job_from_args
 
-    job = _cluster_job_from_args(
+    job = _spec(_cluster_job_from_args(
         _parse(
             [
                 "cluster", "--shards", "5", "--replication", "3",
@@ -99,7 +106,7 @@ def test_cluster_flags_reach_cluster_job():
                 "--federate-every", "400", "--hotkey-window", "250",
             ]
         )
-    )
+    ))
     assert (job.num_shards, job.replication) == (5, 3)
     assert (job.policy, job.workload) == ("lru", "phases")
     assert (job.num_requests, job.warmup_requests) == (1234, 56)
@@ -114,9 +121,9 @@ def test_cluster_kill_shard_validation():
 
     with pytest.raises(ValueError, match="out of range"):
         _cluster_job_from_args(_parse(["cluster", "--kill-shard", "7"]))
-    job = _cluster_job_from_args(
+    job = _spec(_cluster_job_from_args(
         _parse(["cluster", "--shards", "4", "--kill-shard", "2"])
-    )
+    ))
     assert job.kill_shard == 2 and job.kill_fault_params
     with pytest.raises(ValueError, match="shards"):
         _cluster_job_from_args(_parse(["cluster", "--shards", "0"]))
@@ -126,7 +133,7 @@ def test_ops_flags_reach_ops_job():
     from repro.cli import _ops_job_from_args
     from repro.ops import OpsConfig
 
-    job = _ops_job_from_args(
+    job = _spec(_ops_job_from_args(
         _parse(
             [
                 "ops", "--policy", "chrome", "--workload", "phases",
@@ -138,7 +145,7 @@ def test_ops_flags_reach_ops_job():
                 "--degrade-at", "6",
             ]
         )
-    )
+    ))
     assert (job.workload, job.policy) == ("phases", "chrome")
     assert (job.num_requests, job.warmup_requests) == (3200, 200)
     assert job.capacity_bytes == 2 << 20
@@ -154,9 +161,9 @@ def test_ops_window_defaults_to_sixteenth_of_run():
     from repro.cli import _ops_job_from_args
     from repro.ops import OpsConfig
 
-    job = _ops_job_from_args(
+    job = _spec(_ops_job_from_args(
         _parse(["ops", "--requests", "3200", "--warmup", "0"])
-    )
+    ))
     assert OpsConfig.from_params(job.ops_params).window == 200
     with pytest.raises(ValueError, match="shards"):
         _ops_job_from_args(_parse(["ops", "--shards", "-1"]))

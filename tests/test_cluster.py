@@ -11,7 +11,6 @@ from dataclasses import replace
 import pytest
 
 from repro.cluster import (
-    ClusterJob,
     ClusterService,
     HashRing,
     HotKeyDetector,
@@ -19,6 +18,7 @@ from repro.cluster import (
 )
 from repro.cluster.federate import federate_agents
 from repro.core.config import ChromeConfig
+from repro.env import env_job
 from repro.serve.agent import ServeAgent
 from repro.serve.config import ServiceConfig
 from repro.serve.faults import FaultConfig
@@ -397,7 +397,7 @@ def _fleet_job(**overrides):
         kill_fault_params=_KILL_FAULTS,
     )
     spec.update(overrides)
-    return ClusterJob(**spec)
+    return env_job("cluster", **spec)
 
 
 def test_cluster_metrics_identical_at_any_client_count():
@@ -458,7 +458,8 @@ def test_federated_fleet_beats_best_isolated_shard():
     fleet reaches >= the byte-hit ratio of the best *isolated* shard (a
     single shard-sized cache serving the full stream alone)."""
     seed, reqs, warm, cap = 11, 8000, 1600, 8 << 20
-    fed = ClusterJob(
+    fed = env_job(
+        "cluster",
         workload="zipf_scan",
         policy="chrome",
         num_requests=reqs,

@@ -13,9 +13,7 @@ from repro.experiments import (
     PolicySpec,
     ResultCache,
     available_experiments,
-    execute_job,
     get_plan,
-    job_fingerprint,
     job_for,
     register_experiment,
     run_experiment,
@@ -27,6 +25,7 @@ from repro.experiments.figures import (
     fig10_plan,
     tab3_plan,
 )
+from repro.env import EnvJob
 from repro.experiments.registry import PLANS
 
 TINY = ExperimentScale(
@@ -67,8 +66,8 @@ def test_fig10_bit_identical_serial_vs_parallel():
 
 def test_execute_job_is_pure():
     job = _job()
-    first = execute_job(job)
-    second = execute_job(job)
+    first = job.execute()
+    second = job.execute()
     assert first.ipcs == second.ipcs
     assert first.llc_stats == second.llc_stats
 
@@ -108,7 +107,7 @@ def test_result_cache_roundtrip(tmp_path):
     cache = ResultCache(tmp_path)
     job = _job()
     assert cache.get(job) is None
-    result = execute_job(job)
+    result = job.execute()
     cache.put(job, result)
     replay = cache.get(job)
     assert replay is not None
@@ -137,25 +136,6 @@ def test_cache_invalidated_on_spec_change(tmp_path):
     changed.run_jobs([_job(scale=MICRO.with_overrides(accesses_per_core=201))])
     assert changed.stats.executed == 1
     assert changed.stats.disk_hits == 0
-
-
-def test_fingerprint_sensitive_to_every_field():
-    base = _job()
-    variants = [
-        _job(policy="chrome"),
-        _job(name="mcf06"),
-        _job(cores=4),
-        _job(prefetch="none"),
-        _job(scale=MICRO.with_overrides(machine_scale=1 / 32)),
-        _job(scale=MICRO.with_overrides(warmup_per_core=41)),
-    ]
-    fingerprints = {job_fingerprint(j) for j in [base, *variants]}
-    assert len(fingerprints) == len(variants) + 1
-
-
-def test_fingerprint_sensitive_to_code_version():
-    job = _job()
-    assert job_fingerprint(job, "1") != job_fingerprint(job, "2")
 
 
 def test_corrupt_cache_entry_is_a_miss(tmp_path):
@@ -193,7 +173,7 @@ def test_cache_prune_removes_oldest_entries(tmp_path):
 
     cache = ResultCache(tmp_path)
     jobs = [_job(scale=MICRO.with_overrides(accesses_per_core=200 + i)) for i in range(4)]
-    result = execute_job(jobs[0])  # representative payload; content is irrelevant
+    result = jobs[0].execute()  # representative payload; content is irrelevant
     for i, job in enumerate(jobs):
         cache.put(job, result)
         # mtimes must be distinct for a deterministic eviction order
@@ -213,7 +193,7 @@ def test_cache_prune_deterministic_on_mtime_ties(tmp_path):
 
     cache = ResultCache(tmp_path)
     jobs = [_job(scale=MICRO.with_overrides(accesses_per_core=200 + i)) for i in range(5)]
-    result = execute_job(jobs[0])
+    result = jobs[0].execute()
     for job in jobs:
         cache.put(job, result)
         os.utime(cache.path(job), (1_000_000_000, 1_000_000_000))  # all tied
@@ -235,7 +215,7 @@ def test_cache_prune_deterministic_on_mtime_ties(tmp_path):
 def test_cache_prune_noop_when_under_limit(tmp_path):
     cache = ResultCache(tmp_path)
     job = _job()
-    cache.put(job, execute_job(job))
+    cache.put(job, job.execute())
     assert cache.prune(10) == 0
     assert len(cache) == 1
     assert cache.prune(0) == 1  # prune everything is legal
@@ -291,6 +271,13 @@ def test_every_paper_figure_has_a_plan():
             assert get_plan(experiment_id) is not None, experiment_id
 
 
+def test_every_plan_schedules_only_env_jobs():
+    """One job kind: every registered experiment's plan (built, not run)."""
+    for experiment_id in available_experiments():
+        plan = get_plan(experiment_id)(MICRO)
+        assert all(isinstance(job, EnvJob) for job in plan.jobs), experiment_id
+
+
 def test_register_experiment_roundtrip():
     job = _job()
 
@@ -334,7 +321,9 @@ def test_ablations_reuse_the_fig6_chrome_suite():
     engine.run_plan(fig6_plan(TINY))
     for experiment_id in ("abl_bypass", "abl_prefetch_rewards", "abl_tiebreak"):
         plan = get_plan(experiment_id)(TINY)
-        chrome = {job for job in plan.jobs if job.policy == PolicySpec.named("chrome")}
+        chrome = {
+            job for job in plan.jobs if job.params["policy"] == PolicySpec.named("chrome")
+        }
         assert len(chrome) == TINY.workload_limit and chrome <= fig6
         executed, memo = engine.stats.executed, engine.stats.memo_hits
         engine.run_plan(plan)

@@ -25,9 +25,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.cluster.jobs import ClusterJob
 from repro.core.chrome import ChromePolicy
-from repro.serve.jobs import ServeJob
+from repro.env import env_job
 from repro.sim.multicore import MultiCoreSystem, SystemConfig
 from repro.sim.replacement.lru import LRUPolicy
 from repro.traces.mixes import heterogeneous_mix, homogeneous_mix
@@ -166,7 +165,8 @@ def _serve_stats(metrics) -> dict:
 
 
 def _serve_case(workload: str, policy: str) -> dict:
-    job = ServeJob(
+    job = env_job(
+        "serve",
         workload=workload,
         policy=policy,
         num_requests=1200,
@@ -295,7 +295,8 @@ def _serve_faults_case(
     fault_params: tuple,
     resilience_params: tuple,
 ) -> dict:
-    job = ServeJob(
+    job = env_job(
+        "serve",
         workload=workload,
         policy=policy,
         num_requests=1200,
@@ -375,7 +376,7 @@ def _cluster_case(policy: str, **overrides) -> dict:
         hotkey_window=256,
     )
     spec.update(overrides)
-    return _cluster_stats(ClusterJob(**spec).execute())
+    return _cluster_stats(env_job("cluster", **spec).execute())
 
 
 def compute_cluster_golden() -> dict:
@@ -466,8 +467,6 @@ _GOLDEN_OPS_GUARD_FLEET = tuple(
 
 
 def _ops_case(**overrides) -> dict:
-    from repro.ops.jobs import OpsJob
-
     spec = dict(
         workload="zipf_scan",
         policy="chrome",
@@ -480,8 +479,8 @@ def _ops_case(**overrides) -> dict:
         checkpoint_every=400,
     )
     spec.update(overrides)
-    job = OpsJob(**spec)
-    return _ops_stats(job.execute(), fleet=job.num_shards > 0)
+    fleet = spec.get("num_shards", 0) > 0
+    return _ops_stats(env_job("ops", **spec).execute(), fleet=fleet)
 
 
 def compute_ops_golden() -> dict:

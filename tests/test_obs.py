@@ -161,9 +161,11 @@ def test_export_writes_empty_artifacts(tmp_path):
 
 
 def _tiny_sim_job():
-    from repro.experiments.jobspec import MixSpec, PolicySpec, SimJob
+    from repro.env import env_job
+    from repro.experiments.jobspec import MixSpec, PolicySpec
 
-    return SimJob(
+    return env_job(
+        "sim",
         mix=MixSpec.homogeneous("bfs-ur", 2),
         policy=PolicySpec.named("chrome"),
         machine_scale=0.03125,
@@ -173,22 +175,18 @@ def _tiny_sim_job():
 
 
 def test_sim_results_identical_with_and_without_obs(tmp_path):
-    from repro.experiments.jobspec import execute_job
-
     job = _tiny_sim_job()
-    plain = execute_job(job)
-    instrumented = execute_job(job, obs=ObsConfig(out_dir=str(tmp_path)))
+    plain = job.execute()
+    instrumented = job.execute(obs=ObsConfig(out_dir=str(tmp_path)))
     assert instrumented == plain
 
 
 def test_sim_obs_artifacts_parse(tmp_path):
-    from repro.experiments.jobspec import execute_job, job_fingerprint
-
     job = _tiny_sim_job()
-    execute_job(job, obs=ObsConfig(out_dir=str(tmp_path)))
+    job.execute(obs=ObsConfig(out_dir=str(tmp_path)))
     found = discover_artifacts(str(tmp_path))
     assert len(found["timeline"]) == 1
-    assert job_fingerprint(job)[:10] in found["timeline"][0].name
+    assert job.fingerprint[:10] in found["timeline"][0].name
     rows = list(iter_jsonl(found["timeline"][0].read_text()))
     summary_rows = [r for r in rows if r["kind"] == "sim_summary"]
     assert len(summary_rows) == 1
@@ -202,9 +200,10 @@ def test_sim_obs_artifacts_parse(tmp_path):
 
 
 def _serve_metrics(obs=None):
-    from repro.serve.jobs import ServeJob
+    from repro.env import env_job
 
-    job = ServeJob(
+    job = env_job(
+        "serve",
         workload="zipf_scan",
         policy="chrome",
         num_requests=1500,
@@ -215,7 +214,7 @@ def _serve_metrics(obs=None):
         seed=3,
         fault_params=(("outage_every_ms", 400.0), ("outage_duration_ms", 60.0)),
     )
-    return job.execute(obs=obs) if obs is not None else job.execute()
+    return job.execute(obs=obs)
 
 
 def test_serve_results_identical_with_and_without_obs(tmp_path):
@@ -235,6 +234,33 @@ def test_serve_obs_timeline_covers_breakers_and_reward_mix(tmp_path):
     (summary,) = [r for r in rows if r["kind"] == "serve_summary"]
     assert 0.0 <= summary["object_hit_ratio"] <= 1.0
     assert "breaker_states" in summary
+
+
+# --- ops events ---------------------------------------------------------------
+
+
+def test_ops_events_reach_the_obs_timeline(tmp_path):
+    from repro.env import env_job
+    from repro.ops import OpsConfig
+
+    job = env_job(
+        "ops",
+        workload="zipf_scan",
+        policy="chrome",
+        num_requests=1200,
+        warmup_requests=200,
+        capacity_bytes=2 << 20,
+        num_segments=64,
+        ops_params=OpsConfig(
+            window=200, snapshot_every=2, degrade_at_window=3
+        ).params(),
+    )
+    instrumented = job.execute(obs=ObsConfig(out_dir=str(tmp_path)))
+    assert instrumented == job.execute()
+    (timeline,) = discover_artifacts(str(tmp_path))["timeline"]
+    events = [r for r in iter_jsonl(timeline.read_text()) if r["kind"] == "ops_event"]
+    assert [e["event"] for e in events] == [e["kind"] for e in instrumented.events]
+    assert "degrade" in {e["event"] for e in events}
 
 
 # --- report -------------------------------------------------------------------

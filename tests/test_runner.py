@@ -5,7 +5,6 @@ import pytest
 from repro.experiments import (
     Engine,
     MixSpec,
-    job_fingerprint,
     job_for,
     summarize,
 )
@@ -134,4 +133,4 @@ def test_heterogeneous_mix_key_distinct_per_names():
     a = job_for(FAST, MixSpec.heterogeneous(("hmmer06", "mcf06")), "lru")
     b = job_for(FAST, MixSpec.heterogeneous(("mcf06", "hmmer06")), "lru")
     assert a != b
-    assert job_fingerprint(a) != job_fingerprint(b)
+    assert a.fingerprint != b.fingerprint

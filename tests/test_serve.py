@@ -342,10 +342,11 @@ def test_async_driver_matches_sync_replay():
     for _ in range(2):
         store = ObjectStore(1 << 20, 32, LRUServePolicy())
         stores.append(store)
-    sync_service = CacheService(stores[0])
+    config = ServiceConfig(capacity_bytes=1 << 20, num_segments=32)
+    sync_service = CacheService(stores[0], config)
     replay_requests(sync_service, requests)
 
-    async_service = CacheService(stores[1])
+    async_service = CacheService(stores[1], config)
     drive_requests(async_service, requests, num_clients=5)
     assert stores[0].hits == stores[1].hits
     assert stores[0]._segment_bytes == stores[1]._segment_bytes

@@ -24,12 +24,12 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from repro.serve.jobs import ServeJob
+from repro.env import EnvJob, env_job
+from repro.serve.config import ServiceConfig, build_resilience_config
 from repro.serve.resilience import ResilienceConfig
 
 from tests.test_golden_determinism import (
@@ -41,9 +41,9 @@ from tests.test_golden_determinism import (
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def _golden_job(workload: str, policy: str) -> ServeJob:
+def _golden_job(workload: str, policy: str, **overrides) -> EnvJob:
     """The exact job shape behind the committed serve golden cases."""
-    return ServeJob(
+    spec = dict(
         workload=workload,
         policy=policy,
         num_requests=1200,
@@ -54,6 +54,8 @@ def _golden_job(workload: str, policy: str) -> ServeJob:
         seed=17,
         checkpoint_every=400,
     )
+    spec.update(overrides)
+    return env_job("serve", **spec)
 
 
 CHAOS_FAULTS = (
@@ -78,11 +80,13 @@ CHAOS_RESILIENCE = (
 )
 
 
-def _chaos_job(policy: str, workload: str = "multitenant") -> ServeJob:
-    return replace(
-        _golden_job(workload, policy),
+def _chaos_job(policy: str, workload: str = "multitenant", **extra) -> EnvJob:
+    return _golden_job(
+        workload,
+        policy,
         fault_params=CHAOS_FAULTS,
         resilience_params=CHAOS_RESILIENCE,
+        **extra,
     )
 
 
@@ -102,13 +106,10 @@ def test_default_resilience_matches_committed_golden(
     case: str, workload: str, policy: str
 ) -> None:
     golden = json.loads(SERVE_GOLDEN_PATH.read_text())
-    job = replace(
-        _golden_job(workload, policy),
-        resilience_params=(("preset", "default"),),
-    )
+    job = _golden_job(workload, policy, resilience_params=(("preset", "default"),))
     # sanity: the spec really selects the degraded pipeline with the
     # all-defaults policy, not the legacy path
-    assert job.build_resilience() == ResilienceConfig()
+    assert build_resilience_config(job.params["resilience_params"]) == ResilienceConfig()
     assert _serve_stats(job.execute()) == golden[case], (
         f"{case}: the resilient pipeline with default knobs diverged "
         "from the legacy request path — graceful degradation must be "
@@ -125,18 +126,19 @@ def test_default_resilience_pipeline_actually_engages() -> None:
     from repro.serve.store import ObjectStore
     from repro.serve.workloads import build_workload
 
-    job = _golden_job("zipf_scan", "lru")
-    requests = build_workload(
-        job.workload, job.num_requests + job.warmup_requests, seed=job.seed
-    )
-    recorder = MetricsRecorder(policy=job.policy, workload=job.workload)
-    store = ObjectStore(job.capacity_bytes, job.num_segments, job.build_policy())
-    service = CacheService(
-        store,
-        recorder=recorder,
-        warmup_requests=job.warmup_requests,
+    config = ServiceConfig(
+        capacity_bytes=2 << 20,
+        num_segments=64,
+        policy="lru",
+        warmup_requests=200,
+        seed=17,
+        workload_name="zipf_scan",
         resilience=ResilienceConfig(),
     )
+    requests = build_workload("zipf_scan", 1200 + 200, seed=17)
+    recorder = MetricsRecorder(policy="lru", workload="zipf_scan")
+    store = ObjectStore(config.capacity_bytes, config.num_segments, config.build_policy())
+    service = CacheService(store, config, recorder=recorder)
     assert service.resilience is not None
     replay_requests(service, requests)
     metrics = recorder.finalize()
@@ -150,9 +152,8 @@ def test_default_resilience_pipeline_actually_engages() -> None:
 
 @pytest.mark.parametrize("policy", ["lru", "chrome"])
 def test_chaos_bit_identical_across_client_counts(policy: str) -> None:
-    base = _chaos_job(policy)
-    serial = _serve_fault_stats(replace(base, num_clients=1).execute())
-    concurrent = _serve_fault_stats(replace(base, num_clients=64).execute())
+    serial = _serve_fault_stats(_chaos_job(policy, num_clients=1).execute())
+    concurrent = _serve_fault_stats(_chaos_job(policy, num_clients=64).execute())
     assert serial == concurrent, (
         "fault decisions or degradation state leaked scheduling order: "
         "num_clients=1 and num_clients=64 diverged under chaos"
@@ -168,28 +169,19 @@ _SUBPROCESS_SCRIPT = """
 import json, sys
 sys.path.insert(0, {src!r})
 sys.path.insert(0, {root!r})
-from repro.serve.jobs import ServeJob
+from repro.env import env_job
 from tests.test_golden_determinism import _serve_fault_stats
-job = ServeJob(**json.loads(sys.stdin.read()))
+spec = {{
+    k: tuple(map(tuple, v)) if isinstance(v, list) else v
+    for k, v in json.loads(sys.stdin.read()).items()
+}}
+job = env_job("serve", **spec)
 print(json.dumps(_serve_fault_stats(job.execute()), sort_keys=True))
 """
 
 
-def _job_spec_json(job: ServeJob) -> str:
-    spec = {
-        "workload": job.workload,
-        "policy": job.policy,
-        "num_requests": job.num_requests,
-        "warmup_requests": job.warmup_requests,
-        "capacity_bytes": job.capacity_bytes,
-        "num_segments": job.num_segments,
-        "num_clients": job.num_clients,
-        "seed": job.seed,
-        "checkpoint_every": job.checkpoint_every,
-        "fault_params": [list(p) for p in job.fault_params],
-        "resilience_params": [list(p) for p in job.resilience_params],
-    }
-    return json.dumps(spec)
+def _job_spec_json(job: EnvJob) -> str:
+    return json.dumps(job.params)
 
 
 def test_chaos_reproducible_across_processes() -> None:

@@ -1,5 +1,5 @@
 """Serve experiments on the parallel engine: scheduling, dedup,
-disk caching and bit-identical parallelism for non-simulation jobs."""
+disk caching and bit-identical parallelism for serve jobs."""
 
 import pytest
 
@@ -8,11 +8,12 @@ from repro.experiments import (
     Engine,
     ExperimentScale,
     ResultCache,
+    MixSpec,
     available_experiments,
-    execute_job,
     get_plan,
-    job_fingerprint,
+    job_for,
 )
+from repro.env import EnvJob, env_job
 from repro.serve.experiments import (
     FAULT_POLICIES,
     SERVE_PLANS,
@@ -20,7 +21,6 @@ from repro.serve.experiments import (
     serve_capacity,
     serve_zipf_plan,
 )
-from repro.serve.jobs import SERVE_CODE_VERSION, ServeJob
 from repro.serve.metrics import ServeMetrics
 
 TINY = ExperimentScale(
@@ -32,7 +32,7 @@ TINY = ExperimentScale(
 )
 
 
-def _serve_job(**overrides) -> ServeJob:
+def _serve_job(**overrides) -> EnvJob:
     spec = dict(
         workload="zipf_scan",
         policy="lru",
@@ -44,7 +44,7 @@ def _serve_job(**overrides) -> ServeJob:
         seed=1,
     )
     spec.update(overrides)
-    return ServeJob(**spec)
+    return env_job("serve", **spec)
 
 
 # --- registration -------------------------------------------------------------
@@ -63,16 +63,16 @@ def test_serve_plans_compare_every_policy():
         if experiment_id == "serve_faults":
             # chaos plan: (baseline, learned) x (naive, resilient)
             assert len(plan.jobs) == 2 * len(FAULT_POLICIES)
-            assert {job.policy for job in plan.jobs} == set(FAULT_POLICIES)
-            assert all(job.fault_params for job in plan.jobs)
-            modes = {job.resilience_params for job in plan.jobs}
+            specs = [job.params for job in plan.jobs]
+            assert {p["policy"] for p in specs} == set(FAULT_POLICIES)
+            assert all(p["fault_params"] for p in specs)
+            modes = {p["resilience_params"] for p in specs}
             assert len(modes) == 2  # naive control vs resilient config
         else:
             assert len(plan.jobs) == len(SERVE_POLICIES_COMPARED)
-            assert {job.policy for job in plan.jobs} == set(
-                SERVE_POLICIES_COMPARED
-            )
-            assert not any(job.fault_params for job in plan.jobs)
+            specs = [job.params for job in plan.jobs]
+            assert {p["policy"] for p in specs} == set(SERVE_POLICIES_COMPARED)
+            assert not any(p["fault_params"] for p in specs)
 
 
 def test_serve_capacity_scales_with_machine_scale():
@@ -86,19 +86,20 @@ def test_serve_capacity_scales_with_machine_scale():
 
 
 def test_execute_job_dispatches_serve_jobs():
-    metrics = execute_job(_serve_job())
+    metrics = _serve_job().execute()
     assert isinstance(metrics, ServeMetrics)
     assert metrics.requests == 300
 
 
 def test_execute_job_rejects_unknown_job_kinds():
-    with pytest.raises(TypeError, match="execute"):
-        execute_job(object())
+    # One job kind: an unknown environment is refused when the job is built.
+    with pytest.raises(KeyError, match="unknown environment"):
+        env_job("no-such-kind")
 
 
 def test_serve_job_execute_is_pure():
     job = _serve_job(policy="chrome")
-    first, second = execute_job(job), execute_job(job)
+    first, second = job.execute(), job.execute()
     assert first.hits == second.hits
     assert repr(first.p99_latency_ms) == repr(second.p99_latency_ms)
     assert first.telemetry == second.telemetry
@@ -140,7 +141,7 @@ def test_serve_result_cache_roundtrip(tmp_path):
     cache = ResultCache(tmp_path)
     job = _serve_job()
     assert cache.get(job) is None
-    metrics = execute_job(job)
+    metrics = job.execute()
     cache.put(job, metrics)
     replay = cache.get(job)
     assert replay is not None
@@ -148,28 +149,12 @@ def test_serve_result_cache_roundtrip(tmp_path):
     assert repr(replay.mean_latency_ms) == repr(metrics.mean_latency_ms)
 
 
-def test_serve_fingerprint_sensitive_to_every_field():
-    base = _serve_job()
-    variants = [
-        _serve_job(workload="phases"),
-        _serve_job(policy="chrome"),
-        _serve_job(num_requests=301),
-        _serve_job(warmup_requests=51),
-        _serve_job(capacity_bytes=(1 << 20) + 1),
-        _serve_job(num_segments=64),
-        _serve_job(num_clients=4),
-        _serve_job(seed=2),
-        _serve_job(workload_params=(("alpha", 1.1),)),
-        _serve_job(policy_params=(("small_fraction", 0.2),), policy="s3fifo"),
-        _serve_job(checkpoint_every=100),
-    ]
-    fingerprints = {job_fingerprint(j) for j in [base, *variants]}
-    assert len(fingerprints) == len(variants) + 1
-
-
 def test_serve_fingerprint_namespaced_from_sim_jobs():
-    assert _serve_job().canonical()[0] == "serve"
-    assert _serve_job().canonical()[1] == SERVE_CODE_VERSION
+    serve = _serve_job()
+    sim = job_for(TINY, MixSpec.homogeneous("mcf06", 2), "lru")
+    assert serve.canonical()[:2] == ("env", "serve")
+    assert sim.canonical()[:2] == ("env", "sim")
+    assert serve.fingerprint != sim.fingerprint
 
 
 # --- CLI ----------------------------------------------------------------------

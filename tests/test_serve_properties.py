@@ -35,7 +35,7 @@ import random
 
 import pytest
 
-from repro.serve.jobs import ServeJob
+from repro.env import build_environment
 from repro.serve.metrics import MetricsRecorder
 from repro.serve.service import CacheService, drive_requests
 from repro.serve.store import ObjectStore
@@ -103,7 +103,7 @@ class BreakerGuard:
         breaker.allow = checked_allow
 
 
-def random_job(rng: random.Random, policy: str) -> ServeJob:
+def random_job(rng: random.Random, policy: str) -> dict:
     """One seeded point in the (workload, geometry, chaos) config space."""
     num_segments = rng.choice((16, 32, 64))
     fault_params = ()
@@ -138,7 +138,7 @@ def random_job(rng: random.Random, policy: str) -> ServeJob:
             ("shed_outstanding", rng.choice((0, 4, 32))),
             ("seed", rng.randrange(1 << 16)),
         )
-    return ServeJob(
+    return dict(
         workload=rng.choice(WORKLOADS),
         policy=policy,
         num_requests=rng.randrange(200, 420),
@@ -152,32 +152,27 @@ def random_job(rng: random.Random, policy: str) -> ServeJob:
     )
 
 
-def run_audited(job: ServeJob):
-    """Mirror :meth:`ServeJob.execute` with an audited store + guards."""
-    total = job.num_requests + job.warmup_requests
+def run_audited(job: dict):
+    """Mirror the serve adapter's run with an audited store + guards."""
+    env = build_environment("serve", **job)
+    config = env.config
     requests = build_workload(
-        job.workload, total, seed=job.seed, **dict(job.workload_params)
+        config.workload_name,
+        job["num_requests"] + config.warmup_requests,
+        seed=config.seed,
     )
-    recorder = MetricsRecorder(policy=job.policy, workload=job.workload)
-    store = AuditedStore(
-        job.capacity_bytes, job.num_segments, job.build_policy()
-    )
-    service = CacheService(
-        store,
-        recorder=recorder,
-        warmup_requests=job.warmup_requests,
-        faults=job.build_faults(),
-        resilience=job.build_resilience(),
-    )
+    recorder = MetricsRecorder(policy=config.policy, workload=config.workload_name)
+    store = AuditedStore(config.capacity_bytes, config.num_segments, env.policy)
+    service = CacheService(store, config, recorder=recorder)
     if service.resilience is not None:
         BreakerGuard(service)
-    drive_requests(service, requests, job.num_clients)
+    drive_requests(service, requests, config.num_clients)
     return recorder.finalize(), service
 
 
-def check_invariants(job: ServeJob, metrics, service: CacheService) -> None:
+def check_invariants(job: dict, metrics, service: CacheService) -> None:
     m = metrics
-    assert m.requests == job.num_requests
+    assert m.requests == job["num_requests"]
     # conservation: every request has exactly one outcome
     assert (
         m.hits + m.origin_served + m.stale_served + m.errors + m.shed
@@ -206,7 +201,7 @@ def check_invariants(job: ServeJob, metrics, service: CacheService) -> None:
         assert m.timeouts <= m.requests - m.hits
         # trips during warmup live in breaker state but not in metrics
         assert m.breaker_opens <= res.breaker_opens()
-        if job.warmup_requests == 0:
+        if job["warmup_requests"] == 0:
             assert m.breaker_opens == res.breaker_opens()
         assert m.stale_served <= m.evictions or res.config.stale_entries == 0
     else:
@@ -218,8 +213,6 @@ def check_invariants(job: ServeJob, metrics, service: CacheService) -> None:
 
 @pytest.mark.parametrize("policy", POLICIES)
 def test_serve_invariants_hold_across_seeded_configs(policy: str) -> None:
-    from dataclasses import replace
-
     rng = random.Random(f"serve-properties:{policy}")
     saw_faults = saw_resilient = saw_legacy = False
     for i in range(CONFIGS_PER_POLICY):
@@ -228,18 +221,18 @@ def test_serve_invariants_hold_across_seeded_configs(policy: str) -> None:
         # policy's sweep covers legacy, naive-chaos and resilient-chaos
         # regardless of what the random stream happens to draw
         if i == 0:
-            job = replace(job, fault_params=(), resilience_params=())
-        elif i == 1 and not job.fault_params:
-            job = replace(
-                job,
+            job.update(fault_params=(), resilience_params=())
+        elif i == 1 and not job["fault_params"]:
+            job.update(
                 fault_params=(("seed", 3), ("error_rate", 0.05)),
                 resilience_params=(("preset", "none"),),
             )
-        elif i == 2 and not job.resilience_params:
-            job = replace(job, resilience_params=(("max_attempts", 3),))
-        saw_faults |= bool(job.fault_params)
-        saw_resilient |= bool(job.resilience_params) or bool(job.fault_params)
-        saw_legacy |= not job.fault_params and not job.resilience_params
+        elif i == 2 and not job["resilience_params"]:
+            job.update(resilience_params=(("max_attempts", 3),))
+        faults, resilience = job["fault_params"], job["resilience_params"]
+        saw_faults |= bool(faults)
+        saw_resilient |= bool(resilience) or bool(faults)
+        saw_legacy |= not faults and not resilience
         metrics, service = run_audited(job)
         check_invariants(job, metrics, service)
     # the sweep must actually exercise all three pipeline shapes
