@@ -119,12 +119,11 @@ def bench_batch_qtable(work: int) -> tuple:
     """Chunk-grained kernels: decide a 2048-state chunk, train 512.
 
     Chunk preparation (state arrays, actions, deltas) happens before
-    the clock starts — that is the pre-classified-chunk contract: the
-    batched access paths hand the Q-table whole columnar chunks.  The
-    numpy backend gets read-only uint64 arrays (enabling its row-index
-    memo, the batch analogue of the scalar table's row caches); the
-    scalar reference gets the same states as tuples, which its own
-    per-value memos serve.  Both sides then run identical
+    the clock starts, so only the kernels are timed.  The numpy
+    backend gets read-only uint64 arrays (enabling its row-index memo,
+    the batch analogue of the scalar table's row caches); the scalar
+    reference gets the same states as tuples, which its own per-value
+    memos serve.  Both sides then run identical
     ``best_actions``/``apply_deltas`` call sequences.
     """
     backend = resolve_backend(None)

@@ -64,24 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="suppress per-job progress/timing lines on stderr",
     )
-    run.add_argument(
-        "--obs",
-        action="store_true",
-        help="record repro.obs telemetry (timelines, Chrome traces, counters)",
-    )
-    run.add_argument(
-        "--obs-dir",
-        default=None,
-        metavar="DIR",
-        help="artifact directory for --obs (default obs-artifacts; implies --obs)",
-    )
-    run.add_argument(
-        "--backend",
-        default=None,
-        choices=["scalar", "numpy"],
-        help="Q-table execution backend (bit-identical results; numpy "
-        "vectorizes batch sweeps — see DESIGN.md §9)",
-    )
+    _add_obs_backend_args(run)
 
     report = sub.add_parser(
         "obs-report", help="summarize the artifacts of an obs-enabled run"
@@ -213,8 +196,8 @@ def _add_obs_backend_args(sub: argparse.ArgumentParser) -> None:
         "--backend",
         default=None,
         choices=["scalar", "numpy"],
-        help="Q-table execution backend (bit-identical results; numpy "
-        "vectorizes batch sweeps — see DESIGN.md §9)",
+        help="Q-table implementation for learned policies (bit-identical "
+        "results — see DESIGN.md §9)",
     )
 
 
@@ -236,11 +219,18 @@ def _apply_backend(backend: Optional[str]) -> None:
 
 def _obs_config_from_args(args: argparse.Namespace):
     """ObsConfig when --obs/--obs-dir requested, else None (all subcommands)."""
-    if not (getattr(args, "obs", False) or args.obs_dir is not None):
+    if not (args.obs or args.obs_dir is not None):
         return None
     from .obs import ObsConfig
 
     return ObsConfig(out_dir=args.obs_dir or "obs-artifacts")
+
+
+def _request_scale(args: argparse.Namespace) -> ExperimentScale:
+    """The scale a ``cluster``/``ops`` run's request counts describe."""
+    return ExperimentScale(
+        accesses_per_core=args.requests, warmup_per_core=args.warmup
+    )
 
 
 def _cluster_job_from_args(args: argparse.Namespace):
@@ -253,21 +243,16 @@ def _cluster_job_from_args(args: argparse.Namespace):
 
     if args.shards < 1 or args.replication < 1:
         raise ValueError("--shards/--replication must be >= 1")
-    kill_fault_params = ()
+    kill_params = ()
     if args.kill_shard >= 0:
         if args.kill_shard >= args.shards:
             raise ValueError(
                 f"--kill-shard {args.kill_shard} out of range "
                 f"(fleet has {args.shards} shards)"
             )
-        # One outage window sized to ~25% of the virtual horizon (0.5 ms
-        # inter-arrival), jitter-placed inside the run.
-        horizon_ms = (args.requests + args.warmup) * 0.5
-        kill_fault_params = (
-            ("seed", 3),
-            ("outage_every_ms", round(horizon_ms, 3)),
-            ("outage_duration_ms", round(horizon_ms / 4.0, 3)),
-        )
+        from .cluster.experiments import kill_fault_params
+
+        kill_params = kill_fault_params(_request_scale(args))
     return env_job(
         "cluster",
         workload=args.workload,
@@ -282,8 +267,8 @@ def _cluster_job_from_args(args: argparse.Namespace):
         seed=args.seed,
         federate_every=args.federate_every,
         hotkey_window=args.hotkey_window,
-        kill_shard=args.kill_shard if kill_fault_params else -1,
-        kill_fault_params=kill_fault_params,
+        kill_shard=args.kill_shard if kill_params else -1,
+        kill_fault_params=kill_params,
     )
 
 
@@ -331,12 +316,12 @@ def _ops_job_from_args(args: argparse.Namespace):
     """Build the ``ops`` job the ``ops`` subcommand describes."""
     from .env import env_job
     from .ops import OpsConfig
+    from .ops.experiments import ops_window
 
     if args.shards < 0:
         raise ValueError("--shards must be >= 0")
-    window = args.window or max(50, (args.requests + args.warmup) // 16)
     ops_config = OpsConfig(
-        window=window,
+        window=args.window or ops_window(_request_scale(args)),
         challenger_policy=args.challenger,
         promote_after=args.promote_after,
         max_p99_ms=args.max_p99,
@@ -457,11 +442,7 @@ def _run_cli(argv: Optional[List[str]] = None) -> int:
         print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
         return 2
     progress = None if args.quiet else ProgressReporter(sys.stderr)
-    obs_config = None
-    if args.obs or args.obs_dir is not None:
-        from .obs import ObsConfig
-
-        obs_config = ObsConfig(out_dir=args.obs_dir or "obs-artifacts")
+    obs_config = _obs_config_from_args(args)
     try:
         engine = Engine(
             workers=workers,

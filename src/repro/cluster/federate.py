@@ -35,18 +35,15 @@ Determinism discipline:
   (they are telemetry about the shard, not learned state), and agent
   exploration RNGs are never touched.
 
-When every agent runs the numpy backend, :func:`federate_agents` takes
-a vectorized path over the integer tick arrays instead of nested-list
-rows.  It is bit-identical to the scalar merge: tick sums are
-exact integer arithmetic (order independent by construction), the
-power-of-two quantum commutes with IEEE rounding, and ``np.rint`` and
-Python ``round`` share half-to-even semantics — pinned differentially
-by ``tests/test_federate_numpy.py``.
+A numpy-backend agent has no nested-list rows; it joins the walk
+through a detached snapshot that is loaded back after the merge
+(pinned against :func:`merge_qtable_states` by
+``tests/test_federate_numpy.py``).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 _GEOMETRY = ("version", "num_features", "num_subtables", "rows", "num_actions")
 
@@ -100,59 +97,6 @@ def merge_qtable_states(states: Sequence[dict], quantum: float) -> dict:
     return merged
 
 
-def _numpy_tick_arrays(agents: Sequence) -> Optional[list]:
-    """The fleet's integer tick arrays when *every* agent runs the
-    numpy backend with matching geometry, else None (generic path)."""
-    ticks = []
-    for agent in agents:
-        arr = getattr(agent.qtable, "_ticks", None)
-        if arr is None:
-            return None
-        ticks.append(arr)
-    shape = ticks[0].shape
-    if any(t.shape != shape for t in ticks[1:]):
-        return None  # geometry mismatch: let the generic merge raise
-    return ticks
-
-
-def _federate_numpy(agents: Sequence, ticks: list) -> dict:
-    """Vectorized federation round over numpy-backend agents.
-
-    Sums the integer tick arrays (exact, order independent), averages
-    once in float64, and rounds half-to-even — the same value the
-    scalar merge computes entry by entry, because the power-of-two
-    quantum scales in and out of the division without changing any
-    rounding decision.
-    """
-    import numpy as np
-
-    n = len(ticks)
-    total = ticks[0].astype(np.int64)
-    for arr in ticks[1:]:
-        total += arr.astype(np.int64)
-    if n == 1:
-        merged_ticks = total.astype(np.float64)
-    else:
-        merged_ticks = np.rint(total / n)
-    for agent in agents:
-        qt = agent.qtable
-        # Fresh per-agent array (never shared): shards keep training
-        # independently between federation rounds.
-        qt._ticks = merged_ticks.astype(qt._dtype)
-        qt._views = [qt._ticks[f] for f in range(qt.num_features)]
-    qt0 = agents[0].qtable
-    return {
-        "version": 1,
-        "num_features": qt0.num_features,
-        "num_subtables": qt0.num_subtables,
-        "rows": qt0.rows,
-        "num_actions": int(total.shape[3]),
-        "tables": (merged_ticks * qt0._quantum).tolist(),
-        "lookups": sum(int(agent.qtable.lookups) for agent in agents),
-        "updates": sum(int(agent.qtable.updates) for agent in agents),
-    }
-
-
 def _merge_tables_in_place(tables: Sequence[list], quantum: float) -> None:
     """Merge same-shape nested row tables in place, row by row.
 
@@ -178,16 +122,11 @@ def federate_agents(agents: Sequence) -> dict:
     keeping each agent's own lookup/update counters and leaving
     exploration RNG state untouched.  Returns the merged snapshot (for
     persistence or obs), equal to :func:`merge_qtable_states` over the
-    agents' pre-round snapshots.  All-numpy fleets merge on the tick
-    arrays instead (bit-identical); in a mixed fleet a numpy agent
-    joins the walk through a detached snapshot that is loaded back
-    afterwards.
+    agents' pre-round snapshots.  A numpy-backend agent joins the walk
+    through a detached snapshot that is loaded back afterwards.
     """
     if not agents:
         raise ValueError("cannot federate zero agents")
-    ticks = _numpy_tick_arrays(agents)
-    if ticks is not None:
-        return _federate_numpy(agents, ticks)
     qtables = [agent.qtable for agent in agents]
     geometries = {(qt.num_features, qt.num_subtables, qt.rows) for qt in qtables}
     if len(geometries) > 1:

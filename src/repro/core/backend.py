@@ -8,17 +8,18 @@ The repo ships two interchangeable Q-table implementations:
 * :class:`~repro.core.qtable_np.QTableNumpy` — the **numpy** backend:
   each feature's sub-tables live in one ``(num_subtables, rows,
   NUM_ACTIONS)`` integer-tick array on the same 16-bit fixed-point
-  grid, with vectorized batch kernels for chunk-grained sweeps.
+  grid, with vectorized batch kernels.
 
 Both produce bit-identical results (see DESIGN.md §9 for the
 exactness argument and ``tests/test_backend_differential.py`` for the
 golden gate), so the backend is purely a performance knob: it never
-changes metrics, goldens, or cache keys.
+changes metrics, goldens, or cache keys.  The choice of Q-table class
+is all it picks; every run loop is the same on either backend.
 
 Selection precedence, resolved at construction time:
 
-1. an explicit ``ChromeConfig.backend`` / ``SystemConfig.backend`` /
-   ``ServiceConfig.backend`` value;
+1. an explicit ``ChromeConfig.backend`` value (serve policies take it
+   as the ``backend`` policy parameter);
 2. the ``REPRO_BACKEND`` environment variable (validated — a typo
    fails fast instead of silently running the default);
 3. the default, ``"scalar"``.

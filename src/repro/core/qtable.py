@@ -24,10 +24,10 @@ list indexing beats small-array numpy dispatch by several times, and
 this class is the golden reference every committed artifact was
 generated with.  That advantage inverts for *batched* kernels: the
 opt-in numpy backend (:mod:`repro.core.qtable_np`, selected via
-:mod:`repro.core.backend` / DESIGN.md §9) decides and trains whole
-trace chunks per dispatch, bit-identically, several times faster than
-the scalar loop.  Row indices (4 hashes per feature value) are
-memoized.
+:mod:`repro.core.backend` / DESIGN.md §9) has batch kernels that
+decide and train whole chunks per dispatch, bit-identically, several
+times faster than the scalar loop.  Row indices (4 hashes per feature
+value) are memoized.
 """
 
 from __future__ import annotations

@@ -38,11 +38,23 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from ..sim.batch import batch_mix_hash
 from .config import NUM_ACTIONS, ChromeConfig
 from .qtable import _SUBTABLE_XOR
 
 _U64 = np.uint64
+
+
+def batch_mix_hash(values: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer over a uint64 array: each lane equals
+    :func:`repro.sim.address.mix_hash` of the same value (u64
+    multiplication wraps exactly like the scalar ``& _MASK64``)."""
+    v = values.astype(_U64, copy=True)
+    v ^= v >> _U64(30)
+    v *= _U64(0xBF58476D1CE4E5B9)
+    v ^= v >> _U64(27)
+    v *= _U64(0x94D049BB133111EB)
+    v ^= v >> _U64(31)
+    return v
 
 
 class QTableNumpy:
@@ -287,12 +299,6 @@ class QTableNumpy:
         legal_arr = np.asarray(legal, dtype=np.int64)
         picks = np.argmax(per_action[:, legal_arr], axis=1)
         return legal_arr[picks].tolist()
-
-    def batch_q_values(self, states) -> np.ndarray:
-        """``(len(states), NUM_ACTIONS)`` float Q-values (exact floats)."""
-        values = self._as_state_array(states)
-        self.lookups += len(states)
-        return self._batch_tick_sums(values) * self._quantum
 
     def _batch_tick_sums(self, values: np.ndarray) -> np.ndarray:
         """Max-over-features of summed sub-table ticks: ``(N, A)`` ints."""

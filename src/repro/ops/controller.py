@@ -357,7 +357,7 @@ def run_ops(
     ``run_configured`` run, and with a shadow attached they *still* are
     (the zero-impact contract the ops tests and goldens pin).
     """
-    service = configured_service(config, obs=obs, requests=requests)
+    service = configured_service(config, obs=obs)
     return drive_ops(service, requests, config, ops, obs=obs)
 
 

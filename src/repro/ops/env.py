@@ -78,9 +78,8 @@ class OpsEnvironment(Environment):
         self.federate_every = federate_every
         self._champion = None
 
-    def champion(self, obs=None, requests=()):
-        """The champion, built on first use (with ``obs`` if given then;
-        ``requests`` feed a single service's numpy pre-classification)."""
+    def champion(self, obs=None):
+        """The champion, built on first use (with ``obs`` if given then)."""
         if self._champion is None:
             if self.num_shards:
                 from ..cluster.cluster import ClusterService
@@ -93,9 +92,7 @@ class OpsEnvironment(Environment):
                     obs=obs,
                 )
             else:
-                self._champion = configured_service(
-                    self.config, obs=obs, requests=requests
-                )
+                self._champion = configured_service(self.config, obs=obs)
         elif obs is not None:
             raise ValueError("obs attaches only to an environment's first use")
         return self._champion
@@ -108,7 +105,7 @@ class OpsEnvironment(Environment):
             seed=config.seed,
             **dict(self.workload_params),
         )
-        champion = self.champion(obs, requests)
+        champion = self.champion(obs)
         return drive_ops(champion, requests, config, self.ops, obs=obs)
 
     def agent_states(self) -> List[dict]:

@@ -109,10 +109,6 @@ class ServiceConfig:
     latency: Optional[LatencyConfig] = None
     faults: Optional[FaultConfig] = None
     resilience: Optional[ResilienceConfig] = None
-    #: Q-table execution backend for learned policies ("scalar" /
-    #: "numpy" / None = defer to ``REPRO_BACKEND``).  Bit-identical by
-    #: construction, so it never changes results — only throughput.
-    backend: Optional[str] = None
 
     @classmethod
     def from_params(
@@ -149,8 +145,6 @@ class ServiceConfig:
             params.setdefault(
                 "seed", mix_hash((self.seed << 8) ^ len(self.policy))
             )
-            if self.backend is not None:
-                params.setdefault("backend", self.backend)
         return make_serve_policy(self.policy, **params)
 
     def build_store(self, policy: Optional[ServePolicy] = None):

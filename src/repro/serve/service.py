@@ -528,7 +528,6 @@ def configured_service(
     *,
     policy: Optional[ServePolicy] = None,
     obs=None,
-    requests: Sequence[Request] = (),
 ) -> CacheService:
     """The one construction path for a configured single service.
 
@@ -536,11 +535,6 @@ def configured_service(
     :class:`ServiceConfig` describes.  ``policy`` optionally supplies a
     pre-built policy instance (warm starts, snapshot seams); when
     omitted the config builds its own, RNG-seeded from the config seed.
-    With the numpy backend, ``requests`` are pre-classified into the
-    store's segment memo in chunked vectorized sweeps, so the driver's
-    per-request ``segment_of`` calls become dict hits — purely a
-    throughput knob: the memo holds exactly what the scalar hash
-    returns.
     """
     if policy is None:
         policy = config.build_policy()
@@ -550,15 +544,7 @@ def configured_service(
         checkpoint_every=config.checkpoint_every,
     )
     store = config.build_store(policy)
-    service = CacheService(store, config, recorder=recorder, obs=obs)
-    if requests:
-        from ..core.backend import resolve_backend
-
-        if resolve_backend(config.backend) == "numpy":
-            keys = [req.key for req in requests]
-            for start in range(0, len(keys), 4096):
-                store.preclassify(keys[start : start + 4096])
-    return service
+    return CacheService(store, config, recorder=recorder, obs=obs)
 
 
 def run_configured(
@@ -586,6 +572,6 @@ def run_configured(
     the run into telemetry sampling; exporting the artifacts is the
     caller's job (see :meth:`repro.env.jobs.EnvJob.execute`).
     """
-    service = configured_service(config, policy=policy, obs=obs, requests=requests)
+    service = configured_service(config, policy=policy, obs=obs)
     drive_requests(service, requests, config.num_clients)
     return service.finalize()

@@ -73,9 +73,8 @@ class ObjectStore:
             {} for _ in range(num_segments)
         ]
         self._segment_bytes: List[int] = [0] * num_segments
-        # key -> segment memo, filled per-key on the scalar path and in
-        # whole-chunk sweeps by preclassify() (hashing is pure, so the
-        # memo is exact; bounded like the Q-table's index cache).
+        # key -> segment memo (hashing is pure, so the memo is exact;
+        # bounded like the Q-table's index cache).
         self._seg_memo: Dict[int, int] = {}
         self._tick = 0
         # counters (cheap enough to keep unconditionally)
@@ -104,44 +103,12 @@ class ObjectStore:
                 self._seg_memo[key] = seg
         return seg
 
-    def preclassify(self, keys) -> None:
-        """Pre-hash a whole chunk of request keys into the segment memo.
-
-        The replayer's numpy-backend path calls this once per request
-        chunk so the per-request :meth:`segment_of` becomes a dict hit.
-        One vectorized splitmix64 sweep replaces ~3 scalar hash calls
-        per request (lookup + admit + the agent's sampled-segment
-        check); dedup keeps the memo writes to one per distinct key.
-        Purely a throughput knob — the memo returns exactly what
-        :func:`~repro.sim.address.mix_hash` returns.
-        """
-        import numpy as np
-
-        from ..sim.batch import batch_mix_hash
-
-        memo = self._seg_memo
-        fresh = [k for k in keys if k not in memo]
-        if not fresh or len(memo) + len(fresh) > (1 << 20):
-            return
-        try:
-            arr = np.unique(np.asarray(fresh, dtype=np.uint64))
-        except (OverflowError, ValueError):  # out-of-range key: scalar path
-            return
-        mask = np.uint64(self.num_segments - 1)
-        segs = (batch_mix_hash(arr) & mask).tolist()
-        for key, seg in zip(arr.tolist(), segs):
-            memo[key] = seg
-
     def contains(self, key: int) -> bool:
         return key in self._segments[self.segment_of(key)]
 
     @property
     def used_bytes(self) -> int:
         return sum(self._segment_bytes)
-
-    @property
-    def object_count(self) -> int:
-        return sum(len(s) for s in self._segments)
 
     # --- request path ------------------------------------------------------------
 
@@ -204,18 +171,3 @@ class ObjectStore:
             listener(obj)
         if self.recorder is not None:
             self.recorder.on_evict(obj.size)
-
-    # --- introspection -----------------------------------------------------------
-
-    def segment_stats(self) -> dict:
-        """Occupancy summary (debugging/telemetry)."""
-        occupancies = [
-            bytes_used / self.segment_capacity if self.segment_capacity else 0.0
-            for bytes_used in self._segment_bytes
-        ]
-        return {
-            "used_bytes": self.used_bytes,
-            "object_count": self.object_count,
-            "mean_occupancy": sum(occupancies) / len(occupancies),
-            "max_occupancy": max(occupancies),
-        }

@@ -102,19 +102,3 @@ class AccessInfo:
         self.is_prefetch = False
         self.is_writeback = True
         return self
-
-    def reset_copy(self, other: "AccessInfo") -> "AccessInfo":
-        """Become a same-typed copy of ``other`` (fills reuse the
-        triggering access's identity)."""
-        self.pc = other.pc
-        self.address = other.address
-        self.block_addr = other.block_addr
-        self.type = other.type
-        self.is_write = other.is_write
-        self.cycle = other.cycle
-        self.hit = False
-        self.set_index = 0
-        self.is_demand = other.is_demand
-        self.is_prefetch = other.is_prefetch
-        self.is_writeback = other.is_writeback
-        return self

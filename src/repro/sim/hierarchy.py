@@ -147,7 +147,7 @@ class CoreHierarchy:
     # --- demand path ------------------------------------------------------------
 
     def _demand_access(
-        self, pc: int, address: int, is_write: bool, issue: float, block: int = -1
+        self, pc: int, address: int, is_write: bool, issue: float
     ) -> float:
         """L1 + L2 legs of the demand walk, fused into one frame.
 
@@ -158,13 +158,8 @@ class CoreHierarchy:
         the lookup at cycle ``issue`` already expired every entry due by
         then, so a subsequent allocate at the same cycle can insert
         directly whenever the file has room (see mshr.py).
-
-        ``block`` lets the batched run loop pass the pre-computed block
-        address from its columnar chunk decode; the default recomputes
-        it (addresses are non-negative, so ``-1`` is a safe sentinel).
         """
-        if block < 0:
-            block = address >> 6
+        block = address >> 6
         # Inlined _filter_remember (hottest caller).
         pf_filter = self._pf_filter
         pf_filter.pop(block, None)

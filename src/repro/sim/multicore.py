@@ -55,12 +55,6 @@ class SystemConfig:
     epoch_cycles: float = 100_000.0
     core: CoreConfig = field(default_factory=CoreConfig)
     dram: DRAMConfig = field(default_factory=DRAMConfig)
-    #: Q-table / run-loop execution backend ("scalar", "numpy", or None
-    #: to defer to the ``REPRO_BACKEND`` env var).  The numpy backend
-    #: pre-decodes each trace chunk in columnar sweeps and vectorizes
-    #: the policy's Q-table; results are bit-identical either way
-    #: (DESIGN.md §9), so this is purely a throughput knob.
-    backend: Optional[str] = None
 
     def _pow2_size(self, nominal: int, ways: int) -> int:
         """Largest size <= nominal*scale whose set count is a power of two."""
@@ -313,16 +307,7 @@ class MultiCoreSystem:
         ``warmup_accesses`` accesses per core run before statistics are
         reset (learning state persists, mirroring the paper's 50M-warmup
         + 200M-measured methodology at reduced scale).
-
-        With ``backend="numpy"`` (or ``REPRO_BACKEND=numpy``) the
-        per-record trace decode runs as columnar chunk sweeps instead —
-        see :meth:`_run_batched`; the walk itself and every statistic
-        stay bit-identical.
         """
-        from ..core.backend import resolve_backend
-
-        if resolve_backend(self.config.backend) == "numpy":
-            return self._run_batched(traces, max_accesses_per_core, warmup_accesses)
         num_cores = self.config.num_cores
         if len(traces) != num_cores:
             raise ValueError(f"need {num_cores} traces, got {len(traces)}")
@@ -448,153 +433,10 @@ class MultiCoreSystem:
 
         return self._finish_run(warm_snapshots)
 
-    def _run_batched(
-        self,
-        traces: Sequence[Trace],
-        max_accesses_per_core: Optional[int] = None,
-        warmup_accesses: int = 0,
-    ) -> SystemResult:
-        """The run loop with columnar chunk decode (numpy backend).
-
-        Identical scheduling, timing, and policy semantics to
-        :meth:`run` — the only change is *where* the per-record
-        derivations happen: each trace chunk's gap/issue-increment/block
-        columns are computed in one vectorized sweep up front
-        (:func:`~repro.sim.batch.decode_chunk`), because they depend
-        only on the immutable trace record.  Everything stateful —
-        cache lookups, RL decisions, prefetcher training, epoch
-        machinery — still walks records in exactly the scalar order (a
-        record's outcome depends on every earlier record's mutations,
-        so those never vectorize).  Chunks whose columns overflow int64
-        fall back to a per-record scalar decode of the same columns.
-        """
-        from .batch import decode_chunk
-
-        num_cores = self.config.num_cores
-        if len(traces) != num_cores:
-            raise ValueError(f"need {num_cores} traces, got {len(traces)}")
-        chunk_iters = [t.iter_chunks() for t in traces]
-        # Per-core decoded columns: (pcs, addresses, blocks, gap1s,
-        # issue_incs, writes); empty until the first chunk loads.
-        columns: List[Optional[tuple]] = [None] * num_cores
-        buffer_lens = [0] * num_cores
-        positions = [0] * num_cores
-        executed = [0] * num_cores
-        warm_snapshots: List[Optional[tuple]] = [None] * num_cores
-        warmed = warmup_accesses == 0
-        if warmed:
-            warm_snapshots = [c.core.snapshot() for c in self.cores]
-
-        cores = self.cores
-        camat = self.camat
-        maybe_close_epoch = camat.maybe_close_epoch
-        epoch_end = camat.epoch_end
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-        heap: List[Tuple[float, int]] = [
-            (cores[i].core.current_cycle, i) for i in range(num_cores)
-        ]
-        heapq.heapify(heap)
-        cap = float("inf") if max_accesses_per_core is None else max_accesses_per_core
-
-        while heap:
-            _, idx = heappop(heap)
-            hierarchy = cores[idx]
-            cols = columns[idx]
-            buffer_len = buffer_lens[idx]
-            position = positions[idx]
-            count = executed[idx]
-            core = hierarchy.core
-            core_cfg = core.config
-            width = core_cfg.width
-            rob_size = core_cfg.rob_size
-            hit_hidden = core_cfg.l1_hit_hidden
-            out = core._outstanding
-            instructions = core.instructions
-            issue = core.issue_cycle
-            demand_access = hierarchy._demand_access
-            while True:
-                if position >= buffer_len:
-                    chunk = next(chunk_iters[idx], None)
-                    while chunk is not None and not chunk:
-                        chunk = next(chunk_iters[idx], None)
-                    if chunk is not None:
-                        cols = decode_chunk(chunk, width)
-                        if cols is None:
-                            # Scalar fallback decode: same columns, one
-                            # record at a time (values exceeded int64).
-                            cols = (
-                                [r.pc for r in chunk],
-                                [r.address for r in chunk],
-                                [r.address >> 6 for r in chunk],
-                                [r.gap + 1 for r in chunk],
-                                [(r.gap + 1) / width for r in chunk],
-                                [r.is_write for r in chunk],
-                            )
-                        columns[idx] = cols
-                        buffer_len = buffer_lens[idx] = len(cols[0])
-                        position = 0
-                    else:
-                        cols = None
-                if cols is None or count >= cap:
-                    core.instructions = instructions
-                    core.issue_cycle = issue
-                    if not warmed and warm_snapshots[idx] is None:
-                        warm_snapshots[idx] = core.snapshot()
-                        if all(s is not None for s in warm_snapshots):
-                            self._reset_measured_stats()
-                            warmed = True
-                    break
-                pcs, addresses, blocks, gap1s, issue_incs, writes = cols
-                gap1 = gap1s[position]
-                instructions += gap1
-                issue += issue_incs[position]
-                if out:
-                    horizon = instructions - rob_size
-                    while out and out[0][0] <= horizon:
-                        _, ready = out.popleft()
-                        if ready > issue:
-                            core.stall_cycles += ready - issue
-                            issue = ready
-                is_write = writes[position]
-                latency = demand_access(
-                    pcs[position],
-                    addresses[position],
-                    is_write,
-                    issue,
-                    blocks[position],
-                )
-                if not is_write and latency > hit_hidden:
-                    ready = issue + latency
-                    out.append((instructions, ready))
-                    if ready > core.last_data_ready:
-                        core.last_data_ready = ready
-                position += 1
-                count += 1
-                if issue >= epoch_end:
-                    maybe_close_epoch(issue)
-                    epoch_end = camat.epoch_end
-                if not warmed and count == warmup_accesses:
-                    core.instructions = instructions
-                    core.issue_cycle = issue
-                    warm_snapshots[idx] = core.snapshot()
-                    if all(s is not None for s in warm_snapshots):
-                        self._reset_measured_stats()
-                        warmed = True
-                if heap and (issue, idx) > heap[0]:
-                    core.instructions = instructions
-                    core.issue_cycle = issue
-                    heappush(heap, (issue, idx))
-                    break
-            positions[idx] = position
-            executed[idx] = count
-
-        return self._finish_run(warm_snapshots)
-
     def _finish_run(
         self, warm_snapshots: List[Optional[tuple]]
     ) -> SystemResult:
-        """Assemble the :class:`SystemResult` (shared by both run loops)."""
+        """Assemble the :class:`SystemResult` of a finished run."""
         core_results = []
         for i, hierarchy in enumerate(self.cores):
             instr, cycles = hierarchy.core.snapshot()

@@ -68,9 +68,9 @@ def test_cluster_goldens_bit_identical_under_numpy(numpy_backend):
 
 
 def test_ops_goldens_bit_identical_under_numpy(numpy_backend):
-    # Also exercises the vectorized federation fast path (the cluster
-    # case federates every 500 requests) and the numpy loader's grid
-    # checks on rollback restores.
+    # Also exercises numpy agents in federation's detach/reload path
+    # (the cluster case federates every 500 requests) and the numpy
+    # loader's grid checks on rollback restores.
     assert compute_ops_golden() == _golden(OPS_GOLDEN_PATH)
 
 
@@ -132,22 +132,3 @@ def test_cli_backend_flag_sets_env(monkeypatch):
     assert os.environ["REPRO_BACKEND"] == "numpy"
     with pytest.raises(ValueError, match="backend"):
         _apply_backend("cuda")
-
-
-def test_store_preclassify_matches_scalar_hash():
-    from repro.serve.policies import make_serve_policy
-    from repro.serve.store import ObjectStore
-    from repro.sim.address import mix_hash
-
-    plain = ObjectStore(1 << 20, 64, make_serve_policy("lru"))
-    swept = ObjectStore(1 << 20, 64, make_serve_policy("lru"))
-    keys = [(i * 2654435761) & 0xFFFFFFFF for i in range(1000)]
-    keys += keys[:100]  # duplicates must be harmless
-    swept.preclassify(keys)
-    for key in keys:
-        expected = mix_hash(key) & 63
-        assert plain.segment_of(key) == expected
-        assert swept.segment_of(key) == expected
-    # oversized keys: preclassify declines, segment_of still works
-    swept.preclassify([2**70])
-    assert swept.segment_of(5) == mix_hash(5) & 63

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main
+from repro.experiments import ExperimentScale
 
 
 def test_list_prints_experiments(capsys):
@@ -125,6 +126,12 @@ def test_cluster_kill_shard_validation():
         _parse(["cluster", "--shards", "4", "--kill-shard", "2"])
     ))
     assert job.kill_shard == 2 and job.kill_fault_params
+    # The subcommand's schedule is the experiments' schedule at its scale.
+    from repro.cluster.experiments import kill_fault_params
+
+    assert job.kill_fault_params == kill_fault_params(
+        ExperimentScale(accesses_per_core=20000, warmup_per_core=4000)
+    )
     with pytest.raises(ValueError, match="shards"):
         _cluster_job_from_args(_parse(["cluster", "--shards", "0"]))
 
@@ -165,6 +172,11 @@ def test_ops_window_defaults_to_sixteenth_of_run():
         _parse(["ops", "--requests", "3200", "--warmup", "0"])
     ))
     assert OpsConfig.from_params(job.ops_params).window == 200
+    from repro.ops.experiments import ops_window
+
+    assert OpsConfig.from_params(job.ops_params).window == ops_window(
+        ExperimentScale(accesses_per_core=3200, warmup_per_core=0)
+    )
     with pytest.raises(ValueError, match="shards"):
         _ops_job_from_args(_parse(["ops", "--shards", "-1"]))
 

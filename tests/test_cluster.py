@@ -239,7 +239,7 @@ def _trained_states(seeds, requests=None):
             num_clients=4,
             seed=seed,
             workload_name="zipf_scan",
-            backend="scalar",
+            policy_params=(("backend", "scalar"),),
         )
         policy = config.build_policy()
         run_configured(list(requests), config, policy=policy)

@@ -1,10 +1,11 @@
-"""Differential gate for the vectorized federation path (satellite of PR 8).
+"""Federation of numpy-backend agents.
 
-``federate_agents`` takes a tick-array fast path when every agent runs
-the numpy backend.  These tests pin that path byte-identical to the
-scalar reference merge (:func:`merge_qtable_states`) on genuinely
-trained, divergent tables — plus the fallback behaviour for mixed
-fleets and the no-aliasing contract (each agent must own its array).
+``federate_agents`` has one merge: a numpy agent, which has no
+nested-list rows, joins the in-place row walk through a detached
+snapshot that is loaded back afterwards.  These tests pin that path
+byte-identical to the reference merge (:func:`merge_qtable_states`) on
+genuinely trained, divergent tables, for all-numpy and mixed fleets,
+plus the no-aliasing contract (each agent must own its array).
 """
 
 from __future__ import annotations
@@ -13,11 +14,7 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
-from repro.cluster.federate import (
-    _numpy_tick_arrays,
-    federate_agents,
-    merge_qtable_states,
-)
+from repro.cluster.federate import federate_agents, merge_qtable_states
 from repro.core.qtable_np import QTableNumpy
 from repro.serve.config import ServiceConfig
 from repro.serve.service import run_configured
@@ -32,10 +29,10 @@ def _trained_agents(seeds, backend="numpy"):
             capacity_bytes=1 << 20,
             num_segments=16,
             policy="chrome",
+            policy_params=(("backend", backend),),
             num_clients=4,
             seed=seed,
             workload_name="zipf_scan",
-            backend=backend,
         )
         policy = config.build_policy()
         run_configured(list(requests), config, policy=policy)
@@ -57,9 +54,8 @@ def test_numpy_merge_bit_identical_to_scalar_reference():
         assert (agent.qtable.lookups, agent.qtable.updates) == before
 
 
-def test_numpy_fast_path_engages_and_does_not_alias():
+def test_numpy_agents_own_their_tables_after_federation():
     agents = _trained_agents([5, 6])
-    assert _numpy_tick_arrays(agents) is not None
     federate_agents(agents)
     a, b = (agent.qtable for agent in agents)
     assert a._ticks is not b._ticks
@@ -68,8 +64,10 @@ def test_numpy_fast_path_engages_and_does_not_alias():
     for f in range(a.num_features):
         assert a._views[f].base is a._ticks
     # one shard keeps training: the other must not see its updates
-    a._ticks[0, 0, 0, 0] += 1
-    assert not np.array_equal(a._ticks, b._ticks)
+    before = b.state_dict()
+    a.apply_delta(tuple(range(a.num_features)), 0, 1.0)
+    assert a.state_dict()["tables"] != before["tables"]
+    assert b.state_dict() == before
 
 
 def test_single_agent_numpy_federation_is_identity():
@@ -84,7 +82,6 @@ def test_mixed_backend_fleet_falls_back_to_generic_merge():
     scalar_agent = _trained_agents([8], backend="scalar")[0]
     numpy_agent = _trained_agents([9], backend="numpy")[0]
     agents = [scalar_agent, numpy_agent]
-    assert _numpy_tick_arrays(agents) is None
     states = [a.qtable.state_dict() for a in agents]
     expected = merge_qtable_states(states, scalar_agent.qtable._quantum)
     merged = federate_agents(agents)

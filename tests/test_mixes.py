@@ -168,32 +168,3 @@ def test_stream_traces_are_sequential_and_reuse_free():
     assert reads and writes
     # triad is (2 reads, 1 write) per element
     assert abs(len(reads) - 2 * len(writes)) <= 2
-
-
-@pytest.mark.parametrize("kernel", sorted(STREAM_KERNELS))
-def test_stream_columnar_decode_bit_identical(kernel):
-    """The numpy backend's chunk decode must equal the scalar walk.
-
-    ``decode_chunk`` feeds the batched multi-core run loop; for the
-    bandwidth kernels (the highest record rate of any trace family)
-    every derived column — block address, gap+1, the IEEE float issue
-    increment — must match the scalar per-record derivation exactly,
-    or the numpy backend would simulate a different machine.
-    """
-    np = pytest.importorskip("numpy")  # noqa: F841  (backend dependency)
-    from repro.sim.address import BLOCK_BITS
-    from repro.sim.batch import decode_chunk
-
-    trace = build_stream_trace(kernel, 500, seed=3, scale=1 / 64).materialize()
-    width = 4.0
-    for chunk in trace.iter_chunks(chunk_size=128):
-        cols = decode_chunk(chunk, width)
-        assert cols is not None
-        pcs, addresses, blocks, gap1s, issue_incs, writes = cols
-        for i, record in enumerate(chunk):
-            assert pcs[i] == record.pc
-            assert addresses[i] == record.address
-            assert blocks[i] == record.address >> BLOCK_BITS
-            assert gap1s[i] == record.gap + 1
-            assert repr(issue_incs[i]) == repr((record.gap + 1) / width)
-            assert writes[i] == record.is_write
